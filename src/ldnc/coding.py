@@ -8,6 +8,11 @@ maps; :func:`simulate` runs the same network on concrete message vectors;
 :func:`is_solving` decides whether the code reconstructs every message
 exactly.
 
+:func:`simulate` and the code search share one batched propagation
+kernel, :func:`_propagate`, over stacked integer arrays; the
+``GfMatrix`` propagation of :func:`transfer_matrices` stays separate so
+that it can independently re-verify what the kernel finds.
+
 Propagation is linear in the number of edges.  Summing gain/encoder
 products over every source-destination path gives the same grid; that
 formulation lives in the test suite as an independent oracle.
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import CodeBindingError
 from .gf_linalg import GfMatrix, is_kronecker_delta_identity, zeros
@@ -59,7 +66,7 @@ class TransferMap:
 
 def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
     """Raise :class:`CodeBindingError` unless the code fits the network."""
-    if code.network != ln:
+    if code.network is not ln and code.network != ln:
         raise CodeBindingError("code is bound to a different network")
     q = ln.base.q
     fm = ln.base.field
@@ -108,6 +115,71 @@ def _received(ln: LayeredNetwork, transmitted: dict[str, GfMatrix], node: str, w
         if e.src in transmitted:
             acc = acc + (e.gain @ transmitted[e.src])
     return acc
+
+
+def _batched_sums_fit_int64(ln: LayeredNetwork) -> bool:
+    """True when :func:`_propagate` may run in int64 on this network.
+
+    The widest unreduced sum is a node's fan-in times an inner product of
+    length q (or a message length, for encoders) of residues below p.
+    """
+    p = ln.base.field.p
+    q = ln.base.q
+    fan_in = max((len(ln.base.in_edges(v)) for v in ln.base.nodes), default=1)
+    widest = max((ln.message_length(s) for s in ln.base.sessions), default=1)
+    return max(fan_in, 1) * max(q, widest, 1) * (p - 1) * (p - 1) < 2**63
+
+
+def _kernel_dtype(ln: LayeredNetwork) -> type:
+    """int64 when every batched sum fits it, else exact Python integers."""
+    return np.int64 if _batched_sums_fit_int64(ln) else object
+
+
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce a freshly computed integer array mod p, in place.
+
+    Subtracting the floor quotient gives the same residues as ``%`` and
+    runs several times faster on int64 arrays.
+    """
+    x -= x // p * p
+    return x
+
+
+def _propagate(
+    ln: LayeredNetwork,
+    sent: Mapping[str, np.ndarray],
+    relays: Mapping[str, np.ndarray],
+    dtype: type,
+) -> dict[str, np.ndarray]:
+    """Push layer-0 transmissions through the network to the final layer.
+
+    ``sent`` maps layer-0 nodes to (batch, q, cols) transmissions and
+    ``relays`` maps every relay node to a (batch, q, q) stack or one
+    (q, q) matrix shared by the batch; all arrays hold residues of
+    ``dtype``.  Each node sums its gain-weighted inputs with
+    ``np.matmul`` and reduces mod p; nodes nothing reaches are left out
+    of the returned final-layer arrivals.
+    """
+    p = ln.base.field.p
+    transmitted = sent
+    arrived: dict[str, np.ndarray] = {}
+    for layer in range(1, ln.horizon + 1):
+        arrived = {}
+        for v in ln.nodes_at(layer):
+            acc = None
+            for e in ln.base.in_edges(v):
+                x = transmitted.get(e.src)
+                if x is None:
+                    continue
+                term = np.matmul(e.gain.to_array().astype(dtype, copy=False), x)
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                arrived[v] = _reduce_mod(acc, p)
+        if layer < ln.horizon:
+            transmitted = {
+                v: _reduce_mod(np.matmul(relays[v], y), p) for v, y in arrived.items()
+            }
+    return arrived
 
 
 def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
@@ -174,27 +246,29 @@ def simulate(
                 f"message for session {s.id} has shape {w.shape}, "
                 f"expected ({ln.message_length(s)}, {ncols})"
             )
-    by_id = {s.id: w for s, w in zip(sessions, messages)}
+    fm = ln.base.field
+    dtype = _kernel_dtype(ln)
 
-    transmitted: dict[str, GfMatrix] = {}
+    def arr(m: GfMatrix) -> np.ndarray:
+        return m.to_array().astype(dtype, copy=False)
+
+    by_id = {s.id: arr(w) for s, w in zip(sessions, messages)}
+    sent = {}
     for node in ln.nodes_at(0):
-        acc = zeros(ln.base.field, ln.base.q, ncols)
+        acc = np.zeros((ln.base.q, ncols), dtype=dtype)
         for s in ln.base.sessions_sourced_at(node):
-            acc = acc + (code.encoders[s.id] @ by_id[s.id])
-        transmitted[node] = acc
-    received: dict[str, GfMatrix] = {}
-    for layer in range(1, ln.horizon + 1):
-        received = {
-            node: _received(ln, transmitted, node, ncols)
-            for node in ln.nodes_at(layer)
-        }
-        if layer < ln.horizon:
-            transmitted = {
-                node: code.relays[node] @ received[node] for node in received
-            }
-    return [
-        code.decoders[s.id] @ received[s.destination] for s in sessions
-    ]
+            acc = acc + _reduce_mod(np.matmul(arr(code.encoders[s.id]), by_id[s.id]), fm.p)
+        sent[node] = _reduce_mod(acc, fm.p)[np.newaxis]
+    relays = {node: arr(m) for node, m in code.relays.items()}
+    arrived = _propagate(ln, sent, relays, dtype)
+    out = []
+    for s in sessions:
+        y = arrived.get(s.destination)
+        rec = np.zeros((ln.message_length(s), ncols), dtype=np.int64)
+        if y is not None:
+            rec = _reduce_mod(np.matmul(arr(code.decoders[s.id]), y[0]), fm.p).astype(np.int64)
+        out.append(GfMatrix(fm, rec))
+    return out
 
 
 def is_solving(ln: LayeredNetwork, code: LinearCode) -> bool:

@@ -12,6 +12,7 @@ gains and swapped session roles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import InvalidNetworkError, NotLayeredError
@@ -63,8 +64,22 @@ class Network:
     def edge_map(self) -> dict[tuple[str, str], GfMatrix]:
         return {(e.src, e.dst): e.gain for e in self.edges}
 
+    @cached_property
+    def _in_edges_by_node(self) -> dict[str, tuple[Edge, ...]]:
+        by_node: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            by_node.setdefault(e.dst, []).append(e)
+        return {v: tuple(es) for v, es in by_node.items()}
+
+    @cached_property
+    def _sessions_by_source(self) -> dict[str, tuple[Session, ...]]:
+        by_node: dict[str, list[Session]] = {}
+        for s in self.sessions_sorted():
+            by_node.setdefault(s.source, []).append(s)
+        return {v: tuple(ss) for v, ss in by_node.items()}
+
     def in_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.dst == node]
+        return list(self._in_edges_by_node.get(node, ()))
 
     def out_edges(self, node: str) -> list[Edge]:
         return [e for e in self.edges if e.src == node]
@@ -79,7 +94,7 @@ class Network:
         raise KeyError(f"no session with id {session_id}")
 
     def sessions_sourced_at(self, node: str) -> tuple[Session, ...]:
-        return tuple(s for s in self.sessions_sorted() if s.source == node)
+        return self._sessions_by_source.get(node, ())
 
     def sessions_decoded_at(self, node: str) -> tuple[Session, ...]:
         return tuple(s for s in self.sessions_sorted() if s.destination == node)
@@ -254,14 +269,25 @@ class LayeredNetwork:
     def layer_of(self, node: str) -> int:
         return self.layer_map[node]
 
+    @cached_property
+    def _nodes_by_layer(self) -> dict[int, tuple[str, ...]]:
+        by_layer: dict[int, list[str]] = {}
+        for v in sorted(self.base.nodes):
+            by_layer.setdefault(self.layer_map[v], []).append(v)
+        return {m: tuple(vs) for m, vs in by_layer.items()}
+
+    @cached_property
+    def _relay_nodes(self) -> tuple[str, ...]:
+        return tuple(
+            sorted(v for v in self.base.nodes if 0 < self.layer_map[v] < self.horizon)
+        )
+
     def nodes_at(self, layer: int) -> list[str]:
-        return sorted(v for v in self.base.nodes if self.layer_map[v] == layer)
+        return list(self._nodes_by_layer.get(layer, ()))
 
     def relay_nodes(self) -> list[str]:
         """All nodes at interior layers 1..horizon-1, sorted by id."""
-        return sorted(
-            v for v in self.base.nodes if 0 < self.layer_map[v] < self.horizon
-        )
+        return list(self._relay_nodes)
 
     def message_length(self, session: Session) -> int:
         return session.width * self.horizon

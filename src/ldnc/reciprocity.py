@@ -71,9 +71,8 @@ class ReciprocityReport:
 def verify_reciprocity(ln: LayeredNetwork, code: LinearCode) -> ReciprocityReport:
     """Compute both transfer grids and check the transposition duality."""
     gamma = transfer_matrices(ln, code)
-    rln = reciprocal_layered(ln)
     rcode = transpose_code(ln, code)
-    gamma_r = transfer_matrices(rln, rcode)
+    gamma_r = transfer_matrices(rcode.network, rcode)
     ids = [s.id for s in gamma.sessions]
     duality = all(
         gamma_r.entry(l, k) == gamma.entry(k, l).T for l in ids for k in ids

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from ldnc.coding import LinearCode, TransferMap
+from ldnc.coding import LinearCode, TransferMap, is_solving
 from ldnc.errors import NotLayeredError
 from ldnc.gf_linalg import (
     FieldModulus,
@@ -15,6 +15,7 @@ from ldnc.gf_linalg import (
     zeros,
 )
 from ldnc.network import LayeredNetwork, detect_layers, network
+from ldnc.search import SearchResult, _code_from_entries, _layout
 
 GF2 = FieldModulus(2)
 
@@ -494,3 +495,20 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
             row.append(total)
         grid.append(tuple(row))
     return TransferMap(sessions=sessions, grid=tuple(grid))
+
+
+def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResult:
+    """Per-trial random search: one ``GfMatrix`` code checked per trial.
+
+    Draws entries in the same order as :func:`ldnc.search.random_search`,
+    so the two must agree on outcome, trial index and code.
+    """
+    slots, total_entries = _layout(ln)
+    p = ln.base.field.p
+    rng = random.Random(seed)
+    for trial in range(1, trials + 1):
+        entries = [rng.randrange(p) for _ in range(total_entries)]
+        code = _code_from_entries(ln, slots, entries)
+        if is_solving(ln, code):
+            return SearchResult("found", code, trial, trial)
+    return SearchResult("not-found", None, None, trials)

@@ -184,6 +184,21 @@ def test_search_finds_and_writes_code(tmp_path):
     assert "solves" in verify.output
 
 
+def test_search_negative_budget_exits_two():
+    # used to print "scanned -5" and exit 1
+    result = invoke("search", path("twounicast.net"), "--budget", "-5",
+                    "--format", "structured")
+    assert result.exit_code == 2
+    assert "scanned" not in result.output
+    assert "budget must be >= 0" in result.output
+
+
+def test_search_zero_trials_exits_two():
+    result = invoke("search", path("single_edge.net"), "--trials", "0")
+    assert result.exit_code == 2
+    assert "trials must be >= 1" in result.output
+
+
 def test_search_random_mode_deterministic():
     a = invoke("search", path("single_edge.net"), "--trials", "2000",
                "--seed", "5", "--format", "structured")

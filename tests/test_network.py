@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ldnc.errors import InvalidNetworkError, NotLayeredError
@@ -15,7 +17,7 @@ from ldnc.network import (
     validate,
 )
 
-from helpers import two_unicast_network
+from helpers import random_layered_instance, two_unicast_network
 
 GF2 = FieldModulus(2)
 
@@ -245,3 +247,35 @@ def test_width_zero_sessions_are_legal():
     assert validate(n).ok
     ln = detect_layers(n)
     assert ln.message_length(n.session(1)) == 0
+
+
+def test_cached_lookups_match_linear_scans():
+    rng = random.Random(8)
+    layered = [detect_layers(two_unicast_network())] + [
+        random_layered_instance(rng, max_per_layer=3, horizon_choices=(1, 2, 3))
+        for _ in range(20)
+    ]
+    for ln in layered:
+        n = ln.base
+        for v in n.nodes + ("absent",):
+            assert n.in_edges(v) == [e for e in n.edges if e.dst == v]
+            assert n.sessions_sourced_at(v) == tuple(
+                s for s in sorted(n.sessions, key=lambda s: s.id) if s.source == v
+            )
+        for layer in range(ln.horizon + 2):
+            assert ln.nodes_at(layer) == sorted(
+                v for v in n.nodes if ln.layer_map[v] == layer
+            )
+        assert ln.relay_nodes() == sorted(
+            v for v in n.nodes if 0 < ln.layer_map[v] < ln.horizon
+        )
+
+
+def test_cached_lookups_hand_out_fresh_lists():
+    ln = detect_layers(two_unicast_network())
+    ln.base.in_edges("3").clear()
+    ln.nodes_at(1).clear()
+    ln.relay_nodes().clear()
+    assert len(ln.base.in_edges("3")) == 2
+    assert ln.nodes_at(1) == ["3", "4"]
+    assert ln.relay_nodes() == ["3", "4"]

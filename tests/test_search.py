@@ -1,12 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from ldnc.coding import is_solving, transfer_matrices
+from ldnc import search
+from ldnc.coding import _kernel_dtype, is_solving, transfer_matrices
 from ldnc.gf_linalg import FieldModulus, GfMatrix, identity, zeros
 from ldnc.network import detect_layers, network, reciprocal_layered
 from ldnc.reciprocity import transpose_code
 from ldnc.search import (
+    _layout,
+    _scan_chunk,
     candidate_code,
     candidate_count,
     exhaustive_search,
@@ -14,7 +18,7 @@ from ldnc.search import (
     random_search,
 )
 
-from helpers import two_unicast_network, random_layered_instance
+from helpers import random_layered_instance, random_search_reference, two_unicast_network
 
 GF2 = FieldModulus(2)
 
@@ -161,9 +165,141 @@ def test_butterfly_code_space_is_out_of_exhaustive_reach():
     assert result.outcome == "budget-exceeded"
 
 
+def test_exhaustive_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        exhaustive_search(identity_edge(), budget=-5)
+
+
+def test_exhaustive_rejects_chunk_size_below_one():
+    # a zero chunk size used to loop forever without advancing
+    for chunk_size in (0, -3):
+        with pytest.raises(ValueError, match="chunk_size"):
+            exhaustive_search(identity_edge(), budget=10, chunk_size=chunk_size)
+
+
+def test_zero_budget_scans_nothing():
+    result = exhaustive_search(identity_edge(), budget=0)
+    assert (result.outcome, result.scanned) == ("budget-exceeded", 0)
+
+
+# ---------------------------------------------------------------------------
+# batched kernel against the transfer-matrix path
+# ---------------------------------------------------------------------------
+
+
+def candidate_index(ln, code):
+    """Inverse of candidate_code: the index whose digits spell the code."""
+    slots, _ = _layout(ln)
+    blocks = {"C": code.encoders, "F": code.relays, "D": code.decoders}
+    digits = [x for slot in slots for row in blocks[slot.kind][slot.key].to_rows() for x in row]
+    p = ln.base.field.p
+    return sum(d * p**k for k, d in enumerate(digits))
+
+
+def scan_mask(ln, start, count, chunk, dtype=None):
+    """The batched verdicts of candidates start .. start+count-1, chunk by chunk."""
+    slots, total = _layout(ln)
+    dtype = _kernel_dtype(ln) if dtype is None else dtype
+    return np.concatenate([
+        _scan_chunk(ln, slots, total, lo, min(chunk, start + count - lo), dtype)
+        for lo in range(start, start + count, chunk)
+    ])
+
+
+def instance_with_sessions(rng, p, q, n_sessions):
+    while True:
+        ln = random_layered_instance(
+            rng, p_choices=(p,), q_choices=(q,), horizon_choices=(1, 2),
+            max_per_layer=3, max_sessions=n_sessions, width_choices=(1,),
+        )
+        if len(ln.base.sessions) == n_sessions:
+            return ln
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_scan_mask_equals_per_candidate_verdicts(p, q):
+    # small spaces are compared whole, larger ones in a window of 100
+    # centred on a solving code where random sampling finds one; chunks of
+    # 7 and 64 divide neither
+    rng = random.Random(1000 * p + q)
+    hits = 0
+    for n_sessions in (1, 2, 3):
+        for _ in range(20):
+            ln = instance_with_sessions(rng, p, q, n_sessions)
+            found = random_search(ln, trials=300, seed=rng.randrange(1000))
+            if found.code:
+                break
+        space = candidate_count(ln)
+        if space <= 300:
+            start, count = 0, space
+        else:
+            centre = candidate_index(ln, found.code) if found.code else rng.randrange(space)
+            start, count = max(0, min(centre - 50, space - 100)), 100
+        expected = np.array(
+            [is_solving(ln, candidate_code(ln, i)) for i in range(start, start + count)]
+        )
+        for chunk in (7, 64):
+            assert (scan_mask(ln, start, count, chunk) == expected).all()
+        hits += int(expected.sum())
+        if count == space:
+            first = np.flatnonzero(expected)
+            for chunk in (7, 64):
+                result = exhaustive_search(ln, budget=space, chunk_size=chunk)
+                assert result.index == (int(first[0]) if first.size else None)
+    assert hits > 0
+
+
+def test_object_and_int64_kernels_agree_on_a_gf3_chunk():
+    ln = identity_edge(p=3, q=2, width=2)
+    space = candidate_count(ln)
+    wide = scan_mask(ln, 0, space, space, dtype=object)
+    narrow = scan_mask(ln, 0, space, space, dtype=np.int64)
+    assert narrow.any()
+    assert (wide == narrow).all()
+
+
+def test_batched_hits_are_reverified(monkeypatch):
+    # a hit the independent transfer-matrix check rejects is an error,
+    # never a result
+    monkeypatch.setattr(search, "is_solving", lambda ln, code: False)
+    ln = identity_edge()
+    with pytest.raises(RuntimeError, match="disagree at index 3"):
+        exhaustive_search(ln, budget=16)
+    with pytest.raises(RuntimeError, match="disagree at trial"):
+        random_search(ln, trials=100, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # random search
 # ---------------------------------------------------------------------------
+
+
+def test_random_search_matches_per_trial_reference():
+    # batches of 1, 2, 4, ... trials must replay the per-trial loop exactly,
+    # including hits and trial counts that cross a batch boundary
+    rng = random.Random(77)
+    instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), zero_edge()]
+    while len(instances) < 6:
+        ln = random_layered_instance(
+            rng, p_choices=(2, 3), q_choices=(1, 2), horizon_choices=(1, 2),
+            max_per_layer=2, max_sessions=2, width_choices=(1,),
+        )
+        if random_search(ln, trials=400, seed=1).outcome == "found":
+            instances.append(ln)
+    late_hits = 0
+    for ln in instances:
+        for seed in (0, 1, 2, 3):
+            for trials in (1, 2, 3, 4, 7, 8, 9, 40, 400):
+                got = random_search(ln, trials=trials, seed=seed)
+                want = random_search_reference(ln, trials=trials, seed=seed)
+                assert (got.outcome, got.index, got.scanned) == (
+                    want.outcome, want.index, want.scanned
+                )
+                assert got.code == want.code
+                late_hits += got.outcome == "found" and got.index > 8
+    assert late_hits > 0
+
 
 
 def test_random_search_finds_identity_edge_code_over_gf5():
