@@ -47,16 +47,26 @@ _FORMAT = click.option(
 )
 
 
+def _echo(message: str = "", err: bool = False, nl: bool = True) -> None:
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``.
+
+    Without a file, click caches the stream it writes to in a weak-keyed
+    map whose value refers back to the key, so every in-process run (one
+    ``CliRunner.invoke``, say) would keep its captured output alive.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except (ParseError, InvalidNetworkError, CodeBindingError, OSError, ValueError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (NotLayeredError, LdncError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(1)
 
     return wrapper
@@ -72,12 +82,12 @@ def _load_layered(network_path: str):
 
 def _echo_network_header(ln, fmt):
     if fmt == "structured":
-        click.echo(f"p {ln.base.field.p}")
-        click.echo(f"q {ln.base.q}")
-        click.echo(f"horizon {ln.horizon}")
-        click.echo(f"sessions {len(ln.base.sessions)}")
+        _echo(f"p {ln.base.field.p}")
+        _echo(f"q {ln.base.q}")
+        _echo(f"horizon {ln.horizon}")
+        _echo(f"sessions {len(ln.base.sessions)}")
     else:
-        click.echo(
+        _echo(
             f"network: p={ln.base.field.p} q={ln.base.q} "
             f"horizon={ln.horizon} sessions={len(ln.base.sessions)}"
         )
@@ -89,11 +99,11 @@ def _echo_grid(gamma, fmt, label):
         for k in ids:
             entry = gamma.entry(l, k)
             if fmt == "structured":
-                click.echo(f"{label} {l} {k} {matrix_literal(entry)}")
+                _echo(f"{label} {l} {k} {matrix_literal(entry)}")
             else:
-                click.echo(f"{label}[{l}->{k}]:")
+                _echo(f"{label}[{l}->{k}]:")
                 for row in entry.to_rows():
-                    click.echo("  " + " ".join(map(str, row)))
+                    _echo("  " + " ".join(map(str, row)))
 
 
 @click.group()
@@ -110,14 +120,14 @@ def cmd_validate(network_file, fmt):
     """Check a network file against the structural invariants."""
     report = validate(parse_network(_read(network_file)))
     if fmt == "structured":
-        click.echo(f"ok {str(report.ok).lower()}")
+        _echo(f"ok {str(report.ok).lower()}")
         for v in report.violations:
-            click.echo(f"violation {v.kind} {v.message}")
+            _echo(f"violation {v.kind} {v.message}")
     else:
         if report.ok:
-            click.echo("ok")
+            _echo("ok")
         for v in report.violations:
-            click.echo(f"violation: {v}")
+            _echo(f"violation: {v}")
     if not report.ok:
         sys.exit(1)
 
@@ -136,9 +146,9 @@ def cmd_transfer(network_file, code_file, fmt):
     _echo_grid(gamma, fmt, "gamma")
     verdict = "solves" if gamma.is_identity_delta() else "does-not-solve"
     if fmt == "structured":
-        click.echo(f"verdict {verdict}")
+        _echo(f"verdict {verdict}")
     else:
-        click.echo(f"verdict: {verdict}")
+        _echo(f"verdict: {verdict}")
 
 
 @main.command("reciprocal")
@@ -149,7 +159,7 @@ def cmd_reciprocal(network_file, out_file):
     """Write the reciprocal network (reversed edges, transposed gains)."""
     n = reciprocal(parse_network(_read(network_file)))
     Path(out_file).write_text(serialize_network(n))
-    click.echo(f"written {out_file}")
+    _echo(f"written {out_file}")
 
 
 @main.command("unfold")
@@ -161,7 +171,7 @@ def cmd_unfold(network_file, horizon, out_file):
     """Unfold a network over HORIZON time instants into a layered one."""
     un = unfold(parse_network(_read(network_file)), horizon)
     Path(out_file).write_text(serialize_network(un.base))
-    click.echo(f"written {out_file}")
+    _echo(f"written {out_file}")
 
 
 @main.command("verify-reciprocity")
@@ -176,9 +186,9 @@ def cmd_verify_reciprocity(network_file, code_file, fmt):
     report = verify_reciprocity(ln, code)
     for key, value in report.flags().items():
         if fmt == "structured":
-            click.echo(f"{key} {str(value).lower()}")
+            _echo(f"{key} {str(value).lower()}")
         else:
-            click.echo(f"{key}: {value}")
+            _echo(f"{key}: {value}")
     _echo_grid(report.gamma, fmt, "gamma")
     _echo_grid(report.gamma_reciprocal, fmt, "gamma_reciprocal")
 
@@ -202,18 +212,18 @@ def cmd_search(network_file, budget, trials, seed, out_file, fmt):
     else:
         result = random_search(ln, trials=trials, seed=seed)
     sep = " " if fmt == "structured" else ": "
-    click.echo(f"outcome{sep}{result.outcome}")
-    click.echo(f"scanned{sep}{result.scanned}")
+    _echo(f"outcome{sep}{result.outcome}")
+    _echo(f"scanned{sep}{result.scanned}")
     if result.outcome == "found":
-        click.echo(f"index{sep}{result.index}")
+        _echo(f"index{sep}{result.index}")
         if fmt == "structured":
             for line in serialize_code(result.code).splitlines():
-                click.echo(f"code {line}")
+                _echo(f"code {line}")
         else:
-            click.echo(serialize_code(result.code), nl=False)
+            _echo(serialize_code(result.code), nl=False)
         if out_file:
             Path(out_file).write_text(serialize_code(result.code))
-            click.echo(f"written{sep}{out_file}")
+            _echo(f"written{sep}{out_file}")
     else:
         sys.exit(1)
 
@@ -233,9 +243,9 @@ def cmd_simulate(network_file, code_file, message_file, fmt):
     for s, out in zip(ln.base.sessions_sorted(), outs):
         flat = ",".join(str(out[i, 0]) for i in range(out.rows))
         if fmt == "structured":
-            click.echo(f"reconstruction {s.id} [{flat}]")
+            _echo(f"reconstruction {s.id} [{flat}]")
         else:
-            click.echo(f"reconstruction {s.id}: [{flat}]")
+            _echo(f"reconstruction {s.id}: [{flat}]")
 
 
 @main.command("corpus")
@@ -245,12 +255,12 @@ def cmd_corpus(name):
     """List the bundled example files, or print one file's location."""
     if name is None:
         for entry in corpus_pkg.names():
-            click.echo(entry)
+            _echo(entry)
     else:
         try:
-            click.echo(corpus_pkg.location(name))
+            _echo(corpus_pkg.location(name))
         except KeyError as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
 
 

@@ -1,36 +1,36 @@
 """Human-writable text formats for networks, codes, and message files.
 
-Parsing is whitespace-insensitive (any run of spaces or newlines
-separates tokens) and ``#`` starts a comment.  Serialization is
-canonical: nodes sorted, edges sorted by endpoint pair, sessions by id,
-and every gain that equals a shift matrix printed in its compact
-``shift g=<strength>`` form, so parse/print round trips are stable.
+Grammar, once ``#`` comments (which end at any ``str.splitlines``
+boundary) are removed; ``{x}`` repeats x, ``[x]`` makes it optional::
 
-Network files::
+    network  := {section}       each section once at most, p and q before edges
+    section  := "p" ":" INT | "q" ":" INT | "nodes" ":" {ID}
+              | "edges" ":" {ID "->" ID "gain" gain}
+              | "sessions" ":" {INT ":" ID "->" ID "width" INT}
+    gain     := "shift" "g" "=" INT | matrix        0 <= g <= q, and q >= 1
+    code     := "T" ":" INT {("C" | "D") INT ":" matrix | "F" ID ":" matrix}
+    messages := {"W" INT ":" vector}
+    matrix   := "[" vector {"," vector} "]"         rows of equal length
+    vector   := "[" [INT {"," INT}] "]"             entries reduced exactly mod p
+    INT      := [0-9]+
+    ID       := [A-Za-z0-9_@.]+                     not a keyword
 
-    p: 2
-    q: 2
-    nodes: 1 2 3
-    edges:
-      1 -> 2 gain shift g=1
-      2 -> 3 gain [[1,0],[0,1]]
-    sessions:
-      1: 1 -> 3 width 1
-
-Code files carry the horizon, then encoder/decoder matrices keyed by
-session id and relay matrices keyed by node id::
-
-    T: 2
-    C 1: [[1,0],[0,1]]
-    D 1: [[1,0],[0,1]]
-    F 2: [[1,1],[0,1]]
-
-Message files list one vector per session: ``W 1: [1,0]``.
+Any run of Unicode whitespace may separate two symbols, and none may
+split an INT or an ID.  Each matrix or vector literal is one token whose
+entries are read with one numpy call.  A shift gain is built as a dense
+q x q matrix, so a file whose shift gains would take more than
+``_MAX_SHIFT_BYTES`` is rejected before they are built.  README "File
+formats" has examples.  Serialization is canonical: nodes sorted, edges
+sorted by endpoint pair, sessions by id, and every gain that equals a
+shift matrix printed as ``shift g=<strength>``, so parse/print round
+trips are stable.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .coding import LinearCode, validate_code
 from .errors import CodeBindingError, ParseError
@@ -42,27 +42,38 @@ _RESERVED = {
     "T", "C", "D", "F", "W",
 }
 _SECTION_KEYWORDS = {"p", "q", "nodes", "edges", "sessions"}
-_TOKEN = re.compile(r"->|[:\[\],=]|[A-Za-z0-9_@.]+")
+_MAX_SHIFT_BYTES = 1 << 28
+
+_COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+# Group 1 is a token; a literal with brackets balanced two deep is one
+# token.  Group 2 catches stray characters.
+_TOKEN = re.compile(
+    r"(->|[:=]|[A-Za-z0-9_@.]+|\[[^\[\]]*(?:\[[^\[\]]*\][^\[\]]*)*\])|(\S+)"
+)
+_ROW = r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"
+_VECTOR = re.compile(_ROW)
+_MATRIX = re.compile(rf"\[{_ROW}(?:,{_ROW})*\]")
+# Whitespace splits a digit run into two entries, which no literal allows.
+_SPLIT_ENTRY = re.compile(r"[0-9]\s+[0-9]")
+# An entry of 19 or more digits may not fit an int64.
+_LONG_ENTRY = re.compile(r"[0-9]{19}")
+_SEPARATORS = str.maketrans("[],", "   ")
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0]
-        pos = 0
-        for match in _TOKEN.finditer(line):
-            if line[pos:match.start()].strip():
-                raise ParseError(f"unexpected characters {line[pos:match.start()]!r}")
-            tokens.append(match.group())
-            pos = match.end()
-        if line[pos:].strip():
-            raise ParseError(f"unexpected characters {line[pos:].strip()!r}")
-    return tokens
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() converts
+        raise ParseError(f"integer of {len(digits)} digits is too long") from None
 
 
 class _Stream:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        pairs = _TOKEN.findall(_COMMENT.sub("", text))
+        stray = next((bad for _, bad in pairs if bad), None)
+        if stray is not None:
+            raise ParseError(f"unexpected characters {stray[:40]!r}")
+        self.tokens = [tok for tok, _ in pairs]
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -78,51 +89,42 @@ class _Stream:
     def expect(self, token: str) -> None:
         got = self.next()
         if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}")
+            raise ParseError(f"expected {token!r}, got {got[:40]!r}")
 
     def integer(self) -> int:
         tok = self.next()
         if not tok.isdigit():
-            raise ParseError(f"expected an integer, got {tok!r}")
-        return int(tok)
+            raise ParseError(f"expected an integer, got {tok[:40]!r}")
+        return _int(tok)
 
     def node_id(self) -> str:
         tok = self.next()
         if tok in _RESERVED or not re.fullmatch(r"[A-Za-z0-9_@.]+", tok):
-            raise ParseError(f"invalid node id {tok!r}")
+            raise ParseError(f"invalid node id {tok[:40]!r}")
         return tok
 
-    def matrix_rows(self) -> list[list[int]]:
-        self.expect("[")
-        rows = []
-        while True:
-            rows.append(self._row())
-            tok = self.next()
-            if tok == "]":
-                break
-            if tok != ",":
-                raise ParseError(f"expected ',' or ']' in matrix, got {tok!r}")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+    def _literal(self, grammar: re.Pattern, p: int) -> tuple[str, np.ndarray]:
+        """The next token as a whitespace-free literal and its entries mod p."""
+        tok = self.next()
+        flat = "".join(tok.split())
+        if not grammar.fullmatch(flat) or _SPLIT_ENTRY.search(tok):
+            raise ParseError(f"malformed matrix or vector {tok[:40]!r}")
+        digits = flat.translate(_SEPARATORS).strip()
+        if _LONG_ENTRY.search(digits):
+            return flat, np.array([_int(d) % p for d in digits.split()], dtype=np.int64)
+        return flat, np.fromstring(digits, dtype=np.int64, sep=" ") % p
+
+    def matrix(self, field: FieldModulus) -> GfMatrix:
+        flat, entries = self._literal(_MATRIX, field.p)
+        rows = flat[2:-2].split("],[")
+        widths = {row.count(",") + 1 if row else 0 for row in rows}
+        if len(widths) != 1:
             raise ParseError("matrix rows have unequal lengths")
-        return rows
+        entries.shape = len(rows), widths.pop()  # in place: a view would keep a second array
+        return GfMatrix(field, entries)
 
-    def _row(self) -> list[int]:
-        self.expect("[")
-        entries = []
-        if self.peek() == "]":
-            self.next()
-            return entries
-        while True:
-            entries.append(self.integer())
-            tok = self.next()
-            if tok == "]":
-                return entries
-            if tok != ",":
-                raise ParseError(f"expected ',' or ']' in row, got {tok!r}")
-
-    def vector(self) -> list[int]:
-        return self._row()
+    def vector(self, field: FieldModulus) -> np.ndarray:
+        return self._literal(_VECTOR, field.p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +133,34 @@ class _Stream:
 
 
 def parse_network(text: str) -> Network:
-    ts = _Stream(_tokenize(text))
+    ts = _Stream(text)
     p = q = None
     field: FieldModulus | None = None
     nodes: list[str] = []
     edges: list[Edge] = []
     sessions: list[Session] = []
     seen: set[str] = set()
+    shift_bytes = 0
 
     def gain_matrix(field: FieldModulus) -> GfMatrix:
-        if ts.peek() == "shift":
-            ts.next()
-            ts.expect("g")
-            ts.expect("=")
-            strength = ts.integer()
-            if not 0 <= strength <= q:
-                raise ParseError(f"shift strength {strength} outside 0..{q}")
-            return shift_matrix(field, q, strength)
-        return GfMatrix.from_rows(field, ts.matrix_rows())
+        nonlocal shift_bytes
+        if ts.peek() != "shift":
+            return ts.matrix(field)
+        ts.next()
+        ts.expect("g")
+        ts.expect("=")
+        strength = ts.integer()
+        if q < 1 or not 0 <= strength <= q:
+            raise ParseError(f"shift strength {strength} outside 0..{q}, or q < 1")
+        shift_bytes += 8 * q * q
+        if shift_bytes > _MAX_SHIFT_BYTES:
+            raise ParseError(f"shift gains of size {q}x{q} exceed {_MAX_SHIFT_BYTES} bytes")
+        return shift_matrix(field, q, strength)
 
     while ts.peek() is not None:
         section = ts.next()
         if section not in _SECTION_KEYWORDS:
-            raise ParseError(f"expected a section keyword, got {section!r}")
+            raise ParseError(f"expected a section keyword, got {section[:40]!r}")
         if section in seen:
             raise ParseError(f"duplicate section {section!r}")
         seen.add(section)
@@ -227,7 +234,7 @@ def serialize_network(n: Network) -> str:
 
 
 def parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
-    ts = _Stream(_tokenize(text))
+    ts = _Stream(text)
     ts.expect("T")
     ts.expect(":")
     horizon = ts.integer()
@@ -244,7 +251,7 @@ def parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
         if kind == "C" or kind == "D":
             key = ts.integer()
             ts.expect(":")
-            mat = GfMatrix.from_rows(field, ts.matrix_rows())
+            mat = ts.matrix(field)
             target = encoders if kind == "C" else decoders
             if key in target:
                 raise ParseError(f"duplicate {kind} record for session {key}")
@@ -254,9 +261,9 @@ def parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
             ts.expect(":")
             if node in relays:
                 raise ParseError(f"duplicate F record for node {node!r}")
-            relays[node] = GfMatrix.from_rows(field, ts.matrix_rows())
+            relays[node] = ts.matrix(field)
         else:
-            raise ParseError(f"expected C, D or F record, got {kind!r}")
+            raise ParseError(f"expected C, D or F record, got {kind[:40]!r}")
     code = LinearCode(network=ln, encoders=encoders, decoders=decoders, relays=relays)
     validate_code(ln, code)
     return code
@@ -279,15 +286,16 @@ def serialize_code(code: LinearCode) -> str:
 
 
 def parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
-    ts = _Stream(_tokenize(text))
-    vectors: dict[int, list[int]] = {}
+    ts = _Stream(text)
+    field = ln.base.field
+    vectors: dict[int, np.ndarray] = {}
     while ts.peek() is not None:
         ts.expect("W")
         sid = ts.integer()
         ts.expect(":")
         if sid in vectors:
             raise ParseError(f"duplicate message for session {sid}")
-        vectors[sid] = ts.vector()
+        vectors[sid] = ts.vector(field)
     sessions = ln.base.sessions_sorted()
     missing = [s.id for s in sessions if s.id not in vectors]
     if missing:
@@ -296,7 +304,6 @@ def parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
     if extra:
         raise ParseError(f"message vectors for unknown sessions {sorted(extra)}")
     out = []
-    field = ln.base.field
     for s in sessions:
         vec = vectors[s.id]
         want = ln.message_length(s)
@@ -304,8 +311,7 @@ def parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
             raise ParseError(
                 f"message for session {s.id} has {len(vec)} entries, expected {want}"
             )
-        out.append(GfMatrix.from_rows(field, [[v] for v in vec]) if vec
-                   else GfMatrix.from_rows(field, [[]]).T)
+        out.append(GfMatrix(field, vec.reshape(-1, 1)))
     return out
 
 

@@ -232,21 +232,14 @@ def shift_matrix(field: FieldModulus, q: int, strength: int) -> GfMatrix:
         raise ValueError(f"vector length must be >= 1, got {q}")
     if not 0 <= strength <= q:
         raise ValueError(f"channel strength must be in [0, {q}], got {strength}")
-    arr = np.zeros((q, q), dtype=np.int64)
-    drop = q - strength
-    for col in range(q - drop):
-        arr[col + drop, col] = 1
-    return GfMatrix(field, arr)
+    return GfMatrix(field, np.eye(q, k=strength - q, dtype=np.int64))
 
 
 def flip_matrix(field: FieldModulus, q: int) -> GfMatrix:
     """The q x q anti-diagonal permutation reversing vector coordinates."""
     if q < 1:
         raise ValueError(f"vector length must be >= 1, got {q}")
-    arr = np.zeros((q, q), dtype=np.int64)
-    for i in range(q):
-        arr[i, q - 1 - i] = 1
-    return GfMatrix(field, arr)
+    return GfMatrix(field, np.ascontiguousarray(np.eye(q, dtype=np.int64)[::-1]))
 
 
 def block_embed(gain: GfMatrix, q: int, horizon: int) -> GfMatrix:
@@ -282,12 +275,10 @@ def random_matrix(field: FieldModulus, rows: int, cols: int, rng: random.Random)
 
 def as_shift_strength(m: GfMatrix) -> int | None:
     """Return the channel strength if ``m`` is a shift gain, else None."""
-    if m.rows != m.cols:
-        return None
-    q = m.rows
-    for strength in range(q + 1):
-        if m == shift_matrix(m.field, q, strength):
-            return strength
+    a = m.to_array()
+    strength = int(np.count_nonzero(a))  # the only strength m can have
+    if m.rows == m.cols >= 1 and (a == np.eye(m.rows, k=strength - m.rows, dtype=np.int64)).all():
+        return strength
     return None
 
 

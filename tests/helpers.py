@@ -1,11 +1,14 @@
 """Shared builders and oracles for the test suite."""
 
 import random
+import re
+import sys
 
 import numpy as np
 
-from ldnc.coding import LinearCode, TransferMap, is_solving
-from ldnc.errors import NotLayeredError
+from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
+from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
+from ldnc.fileformat import _MAX_SHIFT_BYTES
 from ldnc.gf_linalg import (
     FieldModulus,
     GfMatrix,
@@ -14,7 +17,7 @@ from ldnc.gf_linalg import (
     shift_matrix,
     zeros,
 )
-from ldnc.network import LayeredNetwork, detect_layers, network
+from ldnc.network import Edge, LayeredNetwork, Network, Session, detect_layers, network
 from ldnc.search import SearchResult, _code_from_entries, _layout
 
 GF2 = FieldModulus(2)
@@ -512,3 +515,221 @@ def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> S
         if is_solving(ln, code):
             return SearchResult("found", code, trial, trial)
     return SearchResult("not-found", None, None, trials)
+
+
+# ---------------------------------------------------------------------------
+# Reference parser: one token per character class, walked line by line
+# ---------------------------------------------------------------------------
+#
+# The token-by-token scanner that ``ldnc.fileformat`` used before it read
+# each matrix literal as one token.  It differs from the original only
+# where the original crashed or over-allocated: entries of any size are
+# reduced exactly mod p, an over-long integer, a shift gain with q < 1 and
+# shift gains above ``_MAX_SHIFT_BYTES`` raise ParseError.
+
+_REF_RESERVED = {
+    "p", "q", "nodes", "edges", "sessions", "gain", "shift", "g", "width",
+    "T", "C", "D", "F", "W",
+}
+_REF_SECTIONS = {"p", "q", "nodes", "edges", "sessions"}
+_REF_TOKEN = re.compile(r"->|[:\[\],=]|[A-Za-z0-9_@.]+")
+
+
+def _ref_tokenize(text: str) -> list[str]:
+    tokens = []
+    for raw_line in text.splitlines():
+        line = raw_line.split("#", 1)[0]
+        pos = 0
+        for match in _REF_TOKEN.finditer(line):
+            if line[pos:match.start()].strip():
+                raise ParseError(f"unexpected characters {line[pos:match.start()]!r}")
+            tokens.append(match.group())
+            pos = match.end()
+        if line[pos:].strip():
+            raise ParseError(f"unexpected characters {line[pos:].strip()!r}")
+    return tokens
+
+
+class _RefStream:
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        self.pos += 1
+        return tok
+
+    def expect(self, token: str) -> None:
+        got = self.next()
+        if got != token:
+            raise ParseError(f"expected {token!r}, got {got!r}")
+
+    def integer(self) -> int:
+        tok = self.next()
+        if not tok.isdigit():
+            raise ParseError(f"expected an integer, got {tok!r}")
+        if len(tok) > sys.get_int_max_str_digits():
+            raise ParseError("integer too long")
+        return int(tok)
+
+    def node_id(self) -> str:
+        tok = self.next()
+        if tok in _REF_RESERVED or not re.fullmatch(r"[A-Za-z0-9_@.]+", tok):
+            raise ParseError(f"invalid node id {tok!r}")
+        return tok
+
+    def matrix(self, field: FieldModulus) -> GfMatrix:
+        self.expect("[")
+        rows = []
+        while True:
+            rows.append(self._row())
+            tok = self.next()
+            if tok == "]":
+                break
+            if tok != ",":
+                raise ParseError(f"expected ',' or ']' in matrix, got {tok!r}")
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
+            raise ParseError("matrix rows have unequal lengths")
+        return GfMatrix.from_rows(field, [[v % field.p for v in r] for r in rows])
+
+    def _row(self) -> list[int]:
+        self.expect("[")
+        entries = []
+        if self.peek() == "]":
+            self.next()
+            return entries
+        while True:
+            entries.append(self.integer())
+            tok = self.next()
+            if tok == "]":
+                return entries
+            if tok != ",":
+                raise ParseError(f"expected ',' or ']' in row, got {tok!r}")
+
+    def vector(self, field: FieldModulus) -> list[int]:
+        return [v % field.p for v in self._row()]
+
+
+def reference_parse_network(text: str) -> Network:
+    ts = _RefStream(_ref_tokenize(text))
+    q = None
+    field = None
+    nodes, edges, sessions, seen = [], [], [], set()
+    shift_bytes = 0
+
+    def gain_matrix(field):
+        nonlocal shift_bytes
+        if ts.peek() == "shift":
+            ts.next()
+            ts.expect("g")
+            ts.expect("=")
+            strength = ts.integer()
+            if not 0 <= strength <= q or q < 1:
+                raise ParseError(f"shift strength {strength} outside 0..{q}")
+            shift_bytes += 8 * q * q
+            if shift_bytes > _MAX_SHIFT_BYTES:
+                raise ParseError("shift gains too large")
+            return shift_matrix(field, q, strength)
+        return ts.matrix(field)
+
+    while ts.peek() is not None:
+        section = ts.next()
+        if section not in _REF_SECTIONS:
+            raise ParseError(f"expected a section keyword, got {section!r}")
+        if section in seen:
+            raise ParseError(f"duplicate section {section!r}")
+        seen.add(section)
+        ts.expect(":")
+        if section == "p":
+            try:
+                field = FieldModulus(ts.integer())
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        elif section == "q":
+            q = ts.integer()
+        elif section == "nodes":
+            while ts.peek() is not None and ts.peek() not in _REF_SECTIONS:
+                nodes.append(ts.node_id())
+        elif section == "edges":
+            if field is None or q is None:
+                raise ParseError("edges section requires p and q to come first")
+            while ts.peek() is not None and ts.peek() not in _REF_SECTIONS:
+                src = ts.node_id()
+                ts.expect("->")
+                dst = ts.node_id()
+                ts.expect("gain")
+                edges.append(Edge(src, dst, gain_matrix(field)))
+        elif section == "sessions":
+            while ts.peek() is not None and ts.peek() not in _REF_SECTIONS:
+                sid = ts.integer()
+                ts.expect(":")
+                src = ts.node_id()
+                ts.expect("->")
+                dst = ts.node_id()
+                ts.expect("width")
+                sessions.append(Session(sid, src, dst, ts.integer()))
+    if field is None or q is None:
+        raise ParseError("network file must declare p and q")
+    return Network(field, q, tuple(nodes), tuple(edges), tuple(sessions))
+
+
+def reference_parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
+    ts = _RefStream(_ref_tokenize(text))
+    ts.expect("T")
+    ts.expect(":")
+    horizon = ts.integer()
+    if horizon != ln.horizon:
+        raise CodeBindingError(f"code horizon {horizon} != network horizon {ln.horizon}")
+    field = ln.base.field
+    encoders, decoders, relays = {}, {}, {}
+    while ts.peek() is not None:
+        kind = ts.next()
+        if kind == "C" or kind == "D":
+            key = ts.integer()
+            ts.expect(":")
+            mat = ts.matrix(field)
+            target = encoders if kind == "C" else decoders
+            if key in target:
+                raise ParseError(f"duplicate {kind} record for session {key}")
+            target[key] = mat
+        elif kind == "F":
+            node = ts.node_id()
+            ts.expect(":")
+            if node in relays:
+                raise ParseError(f"duplicate F record for node {node!r}")
+            relays[node] = ts.matrix(field)
+        else:
+            raise ParseError(f"expected C, D or F record, got {kind!r}")
+    code = LinearCode(network=ln, encoders=encoders, decoders=decoders, relays=relays)
+    validate_code(ln, code)
+    return code
+
+
+def reference_parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
+    ts = _RefStream(_ref_tokenize(text))
+    field = ln.base.field
+    vectors = {}
+    while ts.peek() is not None:
+        ts.expect("W")
+        sid = ts.integer()
+        ts.expect(":")
+        if sid in vectors:
+            raise ParseError(f"duplicate message for session {sid}")
+        vectors[sid] = ts.vector(field)
+    sessions = ln.base.sessions_sorted()
+    if {s.id for s in sessions} != set(vectors):
+        raise ParseError("message vectors do not match the sessions")
+    out = []
+    for s in sessions:
+        vec = vectors[s.id]
+        if len(vec) != ln.message_length(s):
+            raise ParseError(f"message for session {s.id} has the wrong length")
+        out.append(GfMatrix(field, np.array(vec, dtype=np.int64).reshape(-1, 1)))
+    return out

@@ -1,3 +1,5 @@
+import gc
+import io
 import pathlib
 
 from click.testing import CliRunner
@@ -243,3 +245,24 @@ def test_corpus_listing_and_location():
     assert where.exit_code == 0
     assert pathlib.Path(where.output.strip()).exists()
     assert invoke("corpus", "nope.net").exit_code == 2
+
+
+def test_validate_network_with_entries_past_int64(tmp_path):
+    big = tmp_path / "big.net"
+    gain = f"gain [[{2**64 + 1},0],[0,{2**63 + 1}]]"
+    big.write_text(corpus.read("single_edge.net").replace("gain shift g=2", gain))
+    result = invoke("validate", str(big), "--format", "structured")
+    assert result.exit_code == 0, result.output
+    assert result.output == "ok true\n"
+
+
+def test_in_process_runs_release_their_captured_streams():
+    def text_streams():
+        gc.collect()
+        return sum(isinstance(o, io.TextIOWrapper) for o in gc.get_objects())
+
+    before = text_streams()
+    for _ in range(20):
+        invoke("validate", path("twounicast.net"))
+        invoke("validate", path("triangle.net"), "--format", "structured")
+    assert text_streams() - before < 5

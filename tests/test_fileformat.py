@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from ldnc import corpus
+from ldnc import corpus, fileformat
 from ldnc.coding import is_solving
 from ldnc.errors import CodeBindingError, ParseError
 from ldnc.fileformat import (
@@ -116,3 +118,57 @@ def test_message_validation():
 def test_entries_are_reduced_mod_p():
     n = parse_network(NET_SAMPLE.replace("[[1, 2],", "[[4, 5],"))
     assert n.edge_map()[("b", "c")].to_rows() == [[1, 2], [0, 1]]
+
+
+HUGE = [2**63, 2**64 + 1, 10**30 + 7, 3 * 2**100]
+
+
+def test_huge_network_entries_are_reduced_exactly_mod_p():
+    for p in (3, 2**31 - 1):
+        text = NET_SAMPLE.replace("p: 3", f"p: {p}").replace(
+            "[[1, 2],", f"[[{HUGE[0]}, {HUGE[1]}],"
+        ).replace("[0, 1]]", f"[{HUGE[2]}, 000000000000000000000000{HUGE[3]}]]")
+        gain = parse_network(text).edge_map()[("b", "c")]
+        assert gain.to_rows() == [[HUGE[0] % p, HUGE[1] % p], [HUGE[2] % p, HUGE[3] % p]]
+
+
+def test_huge_code_and_message_entries_are_reduced_exactly_mod_p():
+    ln = detect_layers(parse_network(corpus.read("twounicast.net")))
+    code_text = corpus.read("twounicast.code").replace(
+        "C 1: [[1,0],[0,1]]", f"C 1: [[{2**63 + 1},0],[0,{2**70 + 1}]]"
+    )
+    assert dict(parse_code(code_text, ln).encoders) == dict(
+        parse_code(corpus.read("twounicast.code"), ln).encoders
+    )
+    msgs = parse_messages(f"W 1: [{2**64}, {2**65 + 1}]\nW 2: [0,{10**40}]\n", ln)
+    assert [m.to_rows() for m in msgs] == [[[0], [1]], [[0], [0]]]
+
+
+def test_integer_too_long_for_int_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_network("p: " + "1" * 5000 + "\nq: 1\n")
+    with pytest.raises(ParseError):
+        parse_network(NET_SAMPLE.replace("[[1, 2],", "[[" + "1" * 5000 + ", 2],"))
+
+
+def test_shift_gain_with_q_zero_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_network("p: 2\nq: 0\nnodes: a b\nedges:\n  a -> b gain shift g=0\n")
+
+
+def test_oversized_shift_gain_is_rejected_before_allocating():
+    text = "p: 2\nq: 100000\nnodes: a b\nedges:\n  a -> b gain shift g=1\nsessions:\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_network(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_shift_gain_limit_counts_every_shift_gain(monkeypatch):
+    # three 2x2 int64 shift gains take 96 bytes; a fourth goes over
+    monkeypatch.setattr(fileformat, "_MAX_SHIFT_BYTES", 96)
+    edges = "".join(f"  a -> b{i} gain shift g=1\n" for i in range(4))
+    head = "p: 2\nq: 2\nnodes: a b0 b1 b2 b3\nedges:\n"
+    assert len(parse_network(head + edges[: edges.index("  a -> b3")]).edges) == 3
+    with pytest.raises(ParseError):
+        parse_network(head + edges)
