@@ -34,7 +34,7 @@ import numpy as np
 
 from .coding import LinearCode, validate_code
 from .errors import CodeBindingError, ParseError
-from .gf_linalg import FieldModulus, GfMatrix, as_shift_strength, shift_matrix
+from .gf_linalg import MAX_DENSE_BYTES, FieldModulus, GfMatrix, as_shift_strength, shift_matrix
 from .network import Edge, LayeredNetwork, Network, Session
 
 _RESERVED = {
@@ -42,7 +42,7 @@ _RESERVED = {
     "T", "C", "D", "F", "W",
 }
 _SECTION_KEYWORDS = {"p", "q", "nodes", "edges", "sessions"}
-_MAX_SHIFT_BYTES = 1 << 28
+_MAX_SHIFT_BYTES = MAX_DENSE_BYTES
 
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 # Group 1 is a token; a literal with brackets balanced two deep is one

@@ -17,6 +17,10 @@ this package is built on:
 * ``block_embed(gain, q, horizon)`` -- the enlarged gain used when a
   network is unfolded over time, with the original gain placed in the
   bottom-left q x q block of a ``q*(horizon+2)`` square matrix.
+
+:func:`row_reduce` brings a whole stack of matrices to reduced
+row-echelon form at once; :func:`mat_rank` and :func:`lowest_solutions`,
+the decoder solver of the exhaustive search, are built on it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .errors import ModulusMismatchError, ShapeMismatchError
 
 _MAX_MODULUS = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+# Largest dense int64 matrix set (in bytes) built from a compact description:
+# shift gains read from a file, or the embedded gains of an unfolding.
+MAX_DENSE_BYTES = 1 << 28
 
 
 def _is_prime(n: int) -> bool:
@@ -118,11 +125,18 @@ class GfMatrix:
 
     @classmethod
     def from_rows(cls, field: FieldModulus, rows: Sequence[Sequence[int]]) -> "GfMatrix":
-        """Build a matrix from a row-major grid; entries are reduced mod p."""
-        arr = np.array(rows, dtype=np.int64)
+        """Build a matrix from a row-major grid; entries are reduced mod p.
+
+        Entries outside the int64 range are reduced exactly, as Python
+        integers.
+        """
+        try:
+            arr = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            arr = np.array(rows, dtype=object)
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected a rectangular grid of rows, got ndim={arr.ndim}")
-        return cls(field, np.mod(arr, field.p))
+        return cls(field, np.mod(arr, field.p).astype(np.int64))
 
     # -- basic queries ---------------------------------------------------
 
@@ -282,31 +296,98 @@ def as_shift_strength(m: GfMatrix) -> int | None:
     return None
 
 
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of an int64 array of nonzero residues, as x ** (p - 2) mod p."""
+    result = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def row_reduce(a: np.ndarray, p: int, pivot_cols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row-echelon form of a stack of matrices over GF(p).
+
+    ``a`` is a (batch, rows, cols) integer array of residues.  Pivots are
+    taken in the first ``pivot_cols`` columns (default: all), left to
+    right, each from the first row below the earlier pivots; every pivot
+    is scaled to 1 and cleared from all other rows, and the remaining
+    columns are carried along as right-hand sides.  Runs in int64:
+    residues are below 2**31, so every product stays below 2**62.
+
+    Returns the reduced stack and a (batch, pivot_cols) array holding the
+    row of each column's pivot, or -1 where the column has none.
+    """
+    a = np.array(a, dtype=np.int64)
+    batch, rows, cols = a.shape
+    pivot_cols = cols if pivot_cols is None else pivot_cols
+    pivot_row = np.full((batch, pivot_cols), -1, dtype=np.int64)
+    rank = np.zeros(batch, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for c in range(pivot_cols):
+        found = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
+        has = found.any(axis=1)
+        if not has.any():
+            continue
+        items = np.flatnonzero(has)
+        r = rank[items]
+        src = found[items].argmax(axis=1)
+        top = a[items, src]
+        a[items, src] = a[items, r]
+        top = top * _inverse_mod(top[:, c], p)[:, None] % p
+        block = a[items]
+        factor = block[:, :, c]
+        factor[np.arange(items.size), r] = 0
+        block -= factor[:, :, None] * top[:, None, :]
+        block %= p
+        block[np.arange(items.size), r] = top
+        a[items] = block
+        pivot_row[items, c] = r
+        rank[items] += 1
+    return a, pivot_row
+
+
 def mat_rank(m: GfMatrix) -> int:
     """Rank over GF(p) by Gaussian elimination (diagnostic helper)."""
-    a = m.to_array().copy()
-    p = m.field.p
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if a[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = m.field.inv(int(a[rank, col]))
-        a[rank] = (a[rank] * inv) % p
-        for r in range(nrows):
-            if r != rank and a[r, col] % p:
-                a[r] = (a[r] - a[r, col] * a[rank]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    _, pivot_row = row_reduce(m.to_array()[np.newaxis], m.field.p)
+    return int((pivot_row >= 0).sum())
+
+
+def lowest_solutions(y: np.ndarray, e: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve X . Y = E over GF(p) for a stack of Y, with the lowest X.
+
+    ``y`` is a (batch, n, width) array of residues and ``e`` one
+    (rows, width) right-hand side shared by the batch.  Each row x of X
+    solves x . Y = (its row of E) on its own.  Reading x as a base-p
+    number with x[0] least significant, the lowest solution puts pivots
+    on the least significant columns first and sets every free variable
+    to 0: each pivot variable then depends only on free variables of
+    higher significance, which are already at their minimum.
+
+    Returns a (batch,) boolean array that says which systems are
+    consistent, and the (batch, rows, n) solutions, zero where the
+    system is inconsistent.
+    """
+    batch, n, width = y.shape
+    rows = e.shape[0]
+    if width == 0:
+        return np.ones(batch, dtype=bool), np.zeros((batch, rows, n), dtype=np.int64)
+    augmented = np.empty((batch, width, n + rows), dtype=np.int64)
+    augmented[:, :, :n] = y.transpose(0, 2, 1)
+    augmented[:, :, n:] = e.T
+    reduced, pivot_row = row_reduce(augmented, p, n)
+    rhs = reduced[:, :, n:]
+    rank = (pivot_row >= 0).sum(axis=1)
+    spare = np.arange(width) >= rank[:, None]
+    consistent = ~(spare & rhs.any(axis=2)).any(axis=1)
+    x = np.take_along_axis(rhs, np.maximum(pivot_row, 0)[:, :, None], axis=1)
+    x[pivot_row < 0] = 0
+    x[~consistent] = 0
+    return consistent, x.transpose(0, 2, 1)
 
 
 def is_kronecker_delta_identity(grid: Sequence[Sequence[GfMatrix]]) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coding import LinearCode, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
-from .gf_linalg import GfMatrix, block_embed, identity
+from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity
 from .network import (
     Edge,
     LayeredNetwork,
@@ -127,13 +127,23 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     ``q * (horizon + 2)``, one embedded copy of every channel edge per
     layer step, and identity memory edges joining consecutive copies of
     each node.  Sessions move to ``source@0`` and ``destination@horizon``.
+    The copies of an edge share one embedded gain, so the gains take
+    ``(|E| + 1) * big**2`` int64 entries; ``ValueError`` is raised before
+    anything is built when that exceeds ``MAX_DENSE_BYTES``.
     """
     require_valid(n)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     q = n.q
     big = q * (horizon + 2)
+    gain_bytes = (len(n.edges) + 1) * big * big * 8
+    if gain_bytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"unfolding over {horizon} instants needs {gain_bytes} bytes of gains, "
+            f"more than {MAX_DENSE_BYTES}"
+        )
     mem_gain = identity(n.field, big)
+    embedded = [block_embed(e.gain, q, horizon) for e in n.edges]
     nodes = []
     layer_map = {}
     for layer in range(horizon + 1):
@@ -147,14 +157,8 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
             edges.append(
                 Edge(stage_name(v, layer), stage_name(v, layer + 1), mem_gain)
             )
-        for e in n.edges:
-            edges.append(
-                Edge(
-                    stage_name(e.src, layer),
-                    stage_name(e.dst, layer + 1),
-                    block_embed(e.gain, q, horizon),
-                )
-            )
+        for e, gain in zip(n.edges, embedded):
+            edges.append(Edge(stage_name(e.src, layer), stage_name(e.dst, layer + 1), gain))
     sessions = tuple(
         Session(s.id, stage_name(s.source, 0), stage_name(s.destination, horizon), s.width)
         for s in n.sessions

@@ -244,6 +244,21 @@ def reciprocal(n: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CodeSlot:
+    """One matrix of a code, placed among a candidate index's base-p digits.
+
+    ``kind`` is ``C`` (encoder), ``F`` (relay) or ``D`` (decoder), ``key``
+    its session id or node, and ``offset`` the digit of its first entry.
+    """
+
+    kind: str
+    key: object
+    rows: int
+    cols: int
+    offset: int
+
+
 @dataclass(frozen=True, eq=False)
 class LayeredNetwork:
     """A network plus a validated layer assignment.
@@ -281,6 +296,25 @@ class LayeredNetwork:
         return tuple(
             sorted(v for v in self.base.nodes if 0 < self.layer_map[v] < self.horizon)
         )
+
+    @cached_property
+    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
+        """Slots of a code's free entries and their count: encoders in
+        session order, relays in node order, decoders in session order,
+        each matrix row-major."""
+        q = self.base.q
+        sessions = self.base.sessions_sorted()
+        shapes = (
+            [("C", s.id, q, self.message_length(s)) for s in sessions]
+            + [("F", v, q, q) for v in self._relay_nodes]
+            + [("D", s.id, self.message_length(s), q) for s in sessions]
+        )
+        slots = []
+        offset = 0
+        for kind, key, rows, cols in shapes:
+            slots.append(CodeSlot(kind, key, rows, cols, offset))
+            offset += rows * cols
+        return tuple(slots), offset
 
     def nodes_at(self, layer: int) -> list[str]:
         return list(self._nodes_by_layer.get(layer, ()))

@@ -7,20 +7,32 @@ entry as the least significant base-p digit of the candidate index.
 :func:`candidate_code` decodes an index into a code, so the enumeration
 order is part of the public contract and results are reproducible.
 
-:func:`exhaustive_search` scans candidates in contiguous chunks.  A chunk's
-indices are decoded into one (entries, batch) digit array, whose slices
-are the stacked encoders, relays and decoders, and every session is
-pushed through the network by the one propagation kernel of
-:mod:`ldnc.coding` (``np.matmul`` per edge and relay, reduced mod p);
-:func:`random_search` feeds its sampled trials to the same kernel in
-batches of 1, 2, 4, ... candidates.  The kernel runs in int64 when
+:func:`exhaustive_search` never enumerates decoders.  With m encoder and
+relay entries, a candidate index splits as ``d * p**m + cf``: cf numbers
+the (encoder, relay) pairs and d the decoders.  Once a pair is fixed,
+destination k receives Y_k = [Y_k1 ... Y_kn] and a decoder D_k solves
+exactly when D_k . Y_k = E_k, the selector of message k, which one
+batched GF(p) elimination (:func:`~ldnc.gf_linalg.lowest_solutions`)
+decides for a whole batch of pairs, together with the lowest such D_k.
+The first solving index is the minimum of ``d_min * p**m + cf`` over the
+solvable pairs.  A solving D_k has full row rank, so no index below
+``floor * p**m`` can solve, where ``floor`` is the lowest decoder index
+with every D_k of full rank: a budget at or below that bound is decided
+without propagating anything, and the scan of pairs stops as soon as no
+later pair can beat the best index found.  Pairs are decoded from their
+indices into one (entries, batch) digit array and pushed through the
+network by the one propagation kernel of :mod:`ldnc.coding`
+(``np.matmul`` per edge and relay, reduced mod p), all sessions at once
+as the column blocks of one transmission.
+
+:func:`random_search` feeds its sampled trials, decoders included, to
+the same kernel in batches of 1, 2, 4, ... candidates and checks each
+transfer grid entry only on the candidates that passed the earlier ones.
+The kernel runs in int64 when
 :func:`~ldnc.coding._batched_sums_fit_int64` bounds every unreduced sum
 below 2**63, and on exact Python integers (``object`` arrays) otherwise.
-Each check of the transfer grid runs only on the candidates that passed
-the earlier ones.  Chunks are independent, so they could be handed to
-parallel workers; the reported code is always the one with the globally
-smallest solving index, and any returned code is re-verified through the
-ordinary transfer-matrix path before it is handed back.
+Every returned code is re-verified through the ordinary transfer-matrix
+path before it is handed back.
 """
 
 from __future__ import annotations
@@ -38,8 +50,8 @@ from .coding import (
     _reduce_mod,
     is_solving,
 )
-from .gf_linalg import GfMatrix
-from .network import LayeredNetwork
+from .gf_linalg import GfMatrix, lowest_solutions
+from .network import CodeSlot, LayeredNetwork
 
 DEFAULT_BUDGET = 1_000_000
 _CHUNK = 1 << 16
@@ -52,7 +64,9 @@ class SearchResult:
     ``outcome`` is one of ``found``, ``exhausted``, ``budget-exceeded``
     (exhaustive) or ``found`` / ``not-found`` (random).  For exhaustive
     hits ``index`` is the candidate index; for random hits it is the
-    1-based trial number.  ``scanned`` counts evaluated candidates.
+    1-based trial number.  ``scanned`` counts the candidates decided:
+    index + 1 for an exhaustive hit and the bound min(space, budget)
+    otherwise, or the trials drawn by a random search.
     """
 
     outcome: str
@@ -61,32 +75,9 @@ class SearchResult:
     scanned: int
 
 
-@dataclass(frozen=True)
-class _Slot:
-    kind: str  # "C", "F" or "D"
-    key: object
-    rows: int
-    cols: int
-    offset: int
-
-
-def _layout(ln: LayeredNetwork) -> tuple[list[_Slot], int]:
-    q = ln.base.q
-    slots: list[_Slot] = []
-    offset = 0
-
-    def push(kind, key, rows, cols):
-        nonlocal offset
-        slots.append(_Slot(kind, key, rows, cols, offset))
-        offset += rows * cols
-
-    for s in ln.base.sessions_sorted():
-        push("C", s.id, q, ln.message_length(s))
-    for v in ln.relay_nodes():
-        push("F", v, q, q)
-    for s in ln.base.sessions_sorted():
-        push("D", s.id, ln.message_length(s), q)
-    return slots, offset
+def _layout(ln: LayeredNetwork) -> tuple[tuple[CodeSlot, ...], int]:
+    """The network's code slots in enumeration order and its entry count."""
+    return ln._code_layout
 
 
 def free_entry_count(ln: LayeredNetwork) -> int:
@@ -162,6 +153,17 @@ def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return stack if rows.size == len(stack) else stack[rows]
 
 
+def _stacks(slots, digits: np.ndarray) -> dict[tuple[str, object], np.ndarray]:
+    """(batch, rows, cols) views of the given slots' matrices in (entries, batch) digits."""
+    count = digits.shape[1]
+    return {
+        (slot.kind, slot.key): digits[slot.offset:slot.offset + slot.rows * slot.cols]
+        .reshape(slot.rows, slot.cols, count)
+        .transpose(2, 0, 1)
+        for slot in slots
+    }
+
+
 def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.ndarray:
     """Boolean solving mask of a batch of candidates given as (entries, batch) digits.
 
@@ -171,12 +173,7 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.nd
     """
     p = ln.base.field.p
     count = digits.shape[1]
-    mats = {
-        (slot.kind, slot.key): digits[slot.offset:slot.offset + slot.rows * slot.cols]
-        .reshape(slot.rows, slot.cols, count)
-        .transpose(2, 0, 1)
-        for slot in slots
-    }
+    mats = _stacks(slots, digits)
     sessions = ln.base.sessions_sorted()
     alive = np.arange(count)
     for sl in sessions:
@@ -223,34 +220,120 @@ def _verified(ln: LayeredNetwork, code: LinearCode, where: str) -> LinearCode:
     return code
 
 
+def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int) -> int | None:
+    """Lowest decoder index d at which every D_k has full row rank.
+
+    The lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
+    most significant row is the smallest nonzero row e_0, and each row
+    above it the smallest row independent of those below.  Returns None
+    when some session is wider than q, so that no decoder can solve.
+    """
+    p = ln.base.field.p
+    floor = 0
+    for slot in slots:
+        if slot.kind != "D":
+            continue
+        if slot.rows > slot.cols:
+            return None
+        base = slot.offset - pairs_entries
+        floor += sum(p ** (base + r * slot.cols + slot.rows - 1 - r) for r in range(slot.rows))
+    return floor
+
+
+def _pairs_per_batch(ln: LayeredNetwork, total_entries: int) -> int:
+    """Pairs per batch whose elimination arrays fit one full-candidate scan chunk."""
+    widths = [ln.message_length(s) for s in ln.base.sessions]
+    per_pair = sum(widths) * (ln.base.q + max(widths, default=0))
+    return max(1, _CHUNK * max(total_entries, 1) // max(per_pair, 1))
+
+
+def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count, dtype):
+    """(d, cf) of the lowest solving index among pairs start .. start+count-1.
+
+    Every session is pushed through the network as one column block of a
+    shared transmission, so destination k receives Y_k = [Y_k1 ... Y_kn]
+    for the whole batch at once; the lowest D_k solving D_k . Y_k = E_k is
+    then found by batched elimination, session by session, on the pairs
+    still solvable.  Returns None when no pair in the batch can solve.
+    """
+    p = ln.base.field.p
+    q = ln.base.q
+    digits = _candidate_digits(start, count, pairs_entries, p, dtype)
+    mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
+    sessions = ln.base.sessions_sorted()
+    cuts = np.cumsum([0, *(ln.message_length(s) for s in sessions)])
+    width = int(cuts[-1])
+    sent: dict[str, np.ndarray] = {}
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        block = sent.setdefault(s.source, np.zeros((count, q, width), dtype=dtype))
+        block[:, :, lo:hi] = mats[("C", s.id)]
+    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()}, dtype)
+    alive = np.arange(count)
+    solutions: list[np.ndarray] = []
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        if hi == lo:
+            continue  # a 0 x q decoder has no digits and nothing to decode
+        y = arrived.get(s.destination)
+        if y is None:
+            return None
+        target = np.zeros((hi - lo, width), dtype=np.int64)
+        target[:, lo:hi] = np.eye(hi - lo, dtype=np.int64)
+        ok, x = lowest_solutions(_take(y, alive), target, p)
+        alive = alive[ok]
+        if not alive.size:
+            return None
+        solutions = [sol[ok] for sol in solutions] + [x[ok]]
+    if not solutions:
+        return 0, start
+    # decoder digits, least significant first; lexsort keys on the last one
+    # first and keeps ties in pair order
+    dec = np.concatenate([x.reshape(alive.size, -1) for x in solutions], axis=1)
+    best = int(np.lexsort(dec.T)[0])
+    d = sum(int(v) * p**e for e, v in enumerate(dec[best]))
+    return d, start + int(alive[best])
+
+
 def exhaustive_search(
     ln: LayeredNetwork, budget: int = DEFAULT_BUDGET, chunk_size: int = _CHUNK
 ) -> SearchResult:
-    """Scan codes in enumeration order for the first solving one.
+    """Find the first solving code in enumeration order.
 
     Returns ``found`` with the lexicographically first solving code,
     ``exhausted`` when the whole space fits within the budget and holds
     no solving code (so none exists at this vector length, horizon and
-    width profile), or ``budget-exceeded`` when the scan was truncated.
-    Raises ``ValueError`` for a negative budget or a chunk size below 1.
+    width profile), or ``budget-exceeded`` when no index below the
+    budget solves.  The (encoder, relay) pairs are scanned ``chunk_size``
+    at a time, fewer when a batch's elimination arrays would outgrow a
+    scan chunk of full candidates.  Raises ``ValueError`` for a negative
+    budget or a chunk size below 1.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     slots, total_entries = _layout(ln)
-    dtype = _kernel_dtype(ln)
-    space = ln.base.field.p ** total_entries
+    p = ln.base.field.p
+    space = p**total_entries
     bound = min(space, budget)
-    start = 0
-    while start < bound:
-        count = min(chunk_size, bound - start)
-        hits = np.flatnonzero(_scan_chunk(ln, slots, total_entries, start, count, dtype))
-        if hits.size:
-            index = start + int(hits[0])
-            code = _verified(ln, candidate_code(ln, index), f"index {index}")
-            return SearchResult("found", code, index, index + 1)
-        start += count
+    pairs_entries = total_entries - sum(s.rows * s.cols for s in slots if s.kind == "D")
+    pairs = p**pairs_entries
+    floor = _decoder_floor(ln, slots, pairs_entries)
+    best = None
+    if floor is not None and floor * pairs < bound:
+        dtype = _kernel_dtype(ln)
+        batch = min(chunk_size, _pairs_per_batch(ln, total_entries))
+        start, stop = 0, min(pairs, bound - floor * pairs)
+        # no pair from start on can give an index below floor * pairs + start
+        while start < stop and (best is None or best >= floor * pairs + start):
+            count = min(batch, stop - start)
+            hit = _lowest_decoders(ln, slots, pairs_entries, start, count, dtype)
+            if hit is not None:
+                index = hit[0] * pairs + hit[1]
+                best = index if best is None else min(best, index)
+            start += count
+    if best is not None and best < bound:
+        code = _verified(ln, candidate_code(ln, best), f"index {best}")
+        return SearchResult("found", code, best, best + 1)
     if bound == space:
         return SearchResult("exhausted", None, None, bound)
     return SearchResult("budget-exceeded", None, None, bound)

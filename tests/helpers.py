@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
+from ldnc.coding import LinearCode, TransferMap, _kernel_dtype, is_solving, validate_code
 from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
 from ldnc.fileformat import _MAX_SHIFT_BYTES
 from ldnc.gf_linalg import (
@@ -18,7 +18,15 @@ from ldnc.gf_linalg import (
     zeros,
 )
 from ldnc.network import Edge, LayeredNetwork, Network, Session, detect_layers, network
-from ldnc.search import SearchResult, _code_from_entries, _layout
+from ldnc.search import (
+    SearchResult,
+    _CHUNK,
+    _code_from_entries,
+    _layout,
+    _scan_chunk,
+    _verified,
+    candidate_code,
+)
 
 GF2 = FieldModulus(2)
 
@@ -498,6 +506,27 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
             row.append(total)
         grid.append(tuple(row))
     return TransferMap(sessions=sessions, grid=tuple(grid))
+
+
+def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult:
+    """Full-candidate scan: every index below the bound, decoders included.
+
+    The chunk loop that :func:`ldnc.search.exhaustive_search` ran before it
+    solved for the decoders; the two must agree on outcome, index,
+    scanned count and code.
+    """
+    slots, total_entries = _layout(ln)
+    dtype = _kernel_dtype(ln)
+    space = ln.base.field.p ** total_entries
+    bound = min(space, budget)
+    for start in range(0, bound, _CHUNK):
+        count = min(_CHUNK, bound - start)
+        hits = np.flatnonzero(_scan_chunk(ln, slots, total_entries, start, count, dtype))
+        if hits.size:
+            index = start + int(hits[0])
+            code = _verified(ln, candidate_code(ln, index), f"index {index}")
+            return SearchResult("found", code, index, index + 1)
+    return SearchResult("exhausted" if bound == space else "budget-exceeded", None, None, bound)
 
 
 def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResult:

@@ -266,3 +266,15 @@ def test_in_process_runs_release_their_captured_streams():
         invoke("validate", path("twounicast.net"))
         invoke("validate", path("triangle.net"), "--format", "structured")
     assert text_streams() - before < 5
+
+
+def test_unfold_over_a_huge_horizon_exits_2_at_once(tmp_path):
+    import time
+
+    out = tmp_path / "unfolded.net"
+    start = time.perf_counter()
+    result = invoke("unfold", path("triangle.net"), "1000000", str(out))
+    assert result.exit_code == 2
+    assert "bytes" in result.output
+    assert not out.exists()
+    assert time.perf_counter() - start < 1.0

@@ -420,3 +420,56 @@ def test_project_rejects_decoder_reading_destination_messages():
     )
     with pytest.raises(BlockFormError):
         project_code(bad)
+
+
+def test_unfold_shares_one_embedded_gain_per_channel_edge():
+    from ldnc.gf_linalg import block_embed
+
+    n = triangle_network(3, 2)
+    horizon = 3
+    copies = {}
+    for e in unfold(n, horizon).base.edges:
+        src, dst = e.src.split("@")[0], e.dst.split("@")[0]
+        if src != dst:
+            copies.setdefault((src, dst), []).append(e.gain)
+    assert set(copies) == set(n.edge_map())
+    for pair, gains in copies.items():
+        assert len(gains) == horizon
+        assert all(g is gains[0] for g in gains)
+        assert gains[0] == block_embed(n.edge_map()[pair], n.q, horizon)
+
+
+def test_unfold_serialization_is_frozen():
+    # digest of the unfoldings as serialized before the embedded gains were
+    # shared between layers
+    import hashlib
+
+    from ldnc import corpus
+    from ldnc.fileformat import parse_network, serialize_network
+
+    from helpers import three_node_unfolding_family
+
+    h = hashlib.sha256()
+    for n, horizon in list(three_node_unfolding_family())[::7]:
+        h.update(serialize_network(unfold(n, horizon).base).encode())
+    for horizon in (1, 2, 3):
+        h.update(serialize_network(unfold(triangle_network(3, 2), horizon).base).encode())
+        h.update(serialize_network(unfold(parse_network(corpus.read("triangle.net")), horizon).base).encode())
+    assert h.hexdigest() == "7aab6dae3a94a059d93700730f7100b6ed262e249ab1feb5280984dcdc189fd7"
+
+
+def test_unfold_refuses_gains_over_the_dense_limit_before_allocating():
+    import time
+
+    from ldnc.gf_linalg import MAX_DENSE_BYTES
+
+    n = triangle_network(2, 2)
+    # (|E| + 1) gains of q(T+2) squared int64 entries each
+    horizon = 1
+    while (len(n.edges) + 1) * (n.q * (horizon + 2)) ** 2 * 8 <= MAX_DENSE_BYTES:
+        horizon += 1
+    start = time.perf_counter()
+    for t in (horizon, 10**6, 10**12):
+        with pytest.raises(ValueError, match="bytes"):
+            unfold(n, t)
+    assert time.perf_counter() - start < 1.0

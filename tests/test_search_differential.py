@@ -1,0 +1,190 @@
+"""The decoder-solving exhaustive search against the full-candidate scan.
+
+``exhaustive_search`` scans only (encoder, relay) pairs and solves for the
+decoders; ``exhaustive_search_reference`` evaluates every candidate index
+in order.  Both must agree on outcome, index, scanned count and code for
+every budget and chunk size.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from ldnc import search
+from ldnc.coding import _kernel_dtype
+from ldnc.gf_linalg import FieldModulus, identity
+from ldnc.network import detect_layers, network, reciprocal_layered
+from ldnc.search import _CHUNK, _decoder_floor, _layout, candidate_count, exhaustive_search
+
+from helpers import exhaustive_search_reference, gf2_instance_family, random_layered_instance
+
+MAX_SPACE = 1 << 16
+
+
+def width_network(p, q, widths):
+    """One identity edge per session; horizon 1, so D_k is widths[k] x q."""
+    fm = FieldModulus(p)
+    k = range(len(widths))
+    return detect_layers(network(
+        p, q, [f"s{i}" for i in k] + [f"d{i}" for i in k],
+        [(f"s{i}", f"d{i}", identity(fm, q)) for i in k],
+        [(i + 1, f"s{i}", f"d{i}", w) for i, w in zip(k, widths)],
+    ))
+
+
+def unreachable_instance():
+    # message 2 cannot reach d2: its source s2 has no out-edge
+    fm = FieldModulus(3)
+    eye = identity(fm, 1)
+    n = network(3, 1, ["s1", "s2", "d1", "d2"], [("s1", "d1", eye), ("s1", "d2", eye)],
+                [(1, "s1", "d1", 1), (2, "s2", "d2", 1)])
+    return detect_layers(n)
+
+
+def instances():
+    out = [ln for ln in gf2_instance_family(max_entries=20)[::45] if candidate_count(ln) <= MAX_SPACE]
+    rng = random.Random(4040)
+    for p in (3, 5):
+        for n_sessions in (1, 2, 3) * 3:
+            while True:
+                ln = random_layered_instance(
+                    rng, p_choices=(p,), q_choices=(1, 2), horizon_choices=(1, 2),
+                    max_per_layer=2, max_sessions=n_sessions, width_choices=(1, 1, 0),
+                )
+                if len(ln.base.sessions) == n_sessions and candidate_count(ln) <= MAX_SPACE:
+                    out.append(ln)
+                    break
+    # solvable ones, so that hits are compared too
+    for p, q, widths in ((3, 1, (1,)), (3, 1, (1, 1)), (3, 2, (1, 1)), (3, 2, (2,)),
+                         (3, 1, (0, 1)), (5, 1, (1,)), (5, 1, (1, 1, 1)), (5, 2, (1,))):
+        out.append(width_network(p, q, widths))
+    out.append(unreachable_instance())
+    return out + [reciprocal_layered(ln) for ln in out]
+
+
+def reaches(ln, session):
+    seen, frontier = {session.source}, [session.source]
+    while frontier:
+        v = frontier.pop()
+        for e in ln.base.out_edges(v):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                frontier.append(e.dst)
+    return session.destination in seen
+
+
+def test_decoder_solving_search_matches_full_candidate_scan():
+    rng = random.Random(77)
+    covered = {"found": 0, "exhausted": 0, "budget-exceeded": 0, "width0": 0,
+               "unreachable": 0, "chunk1": 0, "p2": 0, "p3": 0, "p5": 0}
+    for ln in instances():
+        space = candidate_count(ln)
+        first = exhaustive_search_reference(ln, space)
+        budgets = {0, 1, rng.randrange(space + 1), space}
+        if first.outcome == "found":
+            budgets |= {first.index, first.index + 1}
+        slots, total = _layout(ln)
+        pairs = ln.base.field.p ** sum(s.rows * s.cols for s in slots if s.kind != "D")
+        chunks = (7, 64, _CHUNK) + ((1,) if pairs <= 256 else ())
+        covered["chunk1"] += 1 in chunks
+        covered[f"p{ln.base.field.p}"] += 1
+        covered["width0"] += any(s.width == 0 for s in ln.base.sessions)
+        covered["unreachable"] += any(not reaches(ln, s) for s in ln.base.sessions if s.width)
+        for budget in sorted(b for b in budgets if b <= space):
+            want = exhaustive_search_reference(ln, budget)
+            covered[want.outcome] += 1
+            for chunk in chunks:
+                got = exhaustive_search(ln, budget=budget, chunk_size=chunk)
+                assert (got.outcome, got.index, got.scanned) == (
+                    want.outcome, want.index, want.scanned
+                ), (ln, budget, chunk)
+                assert got.code == want.code
+    assert min(covered.values()) > 0, covered
+
+
+# ---------------------------------------------------------------------------
+# decoder floor
+# ---------------------------------------------------------------------------
+
+
+def full_row_rank(d, p):
+    """(N,) mask: no nonzero combination of the rows of d[i] vanishes."""
+    rows = d.shape[1]
+    coeffs = np.array(list(itertools.product(range(p), repeat=rows))[1:], dtype=np.int64)
+    if not coeffs.size:
+        return np.ones(len(d), dtype=bool)
+    combos = np.einsum("cr,nrq->ncq", coeffs, d) % p
+    return combos.any(axis=2).all(axis=1)
+
+
+def brute_floor(p, q, widths):
+    """Lowest decoder index at which every D_k has full row rank, by scanning."""
+    total = q * sum(widths)
+    powers = p ** np.arange(total, dtype=np.int64)
+    for lo in range(0, p**total, 1 << 16):
+        idx = np.arange(lo, min(p**total, lo + (1 << 16)), dtype=np.int64)
+        digits = idx[:, None] // powers % p
+        ok = np.ones(idx.size, dtype=bool)
+        at = 0
+        for w in widths:
+            ok &= full_row_rank(digits[:, at:at + w * q].reshape(idx.size, w, q), p)
+            at += w * q
+        if ok.any():
+            return lo + int(ok.argmax())
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
+    checked = none = 0
+    for q in (1, 2, 3):
+        profiles = [(w,) for w in range(q + 2)] + [(1, 1), (0, 1), (1, 0, 1), (q, 1), (2, 1)]
+        for widths in profiles:
+            if q * sum(widths) > 9:
+                continue
+            ln = width_network(p, q, widths)
+            slots, total = _layout(ln)
+            pairs_entries = total - q * sum(widths)
+            want = None if max(widths) > q else brute_floor(p, q, widths)
+            assert _decoder_floor(ln, slots, pairs_entries) == want, (q, widths)
+            checked += 1
+            none += want is None
+    assert checked > 10 and none > 0
+
+
+def test_floor_bound_decides_without_propagating(monkeypatch):
+    # below floor * p**m no candidate can solve, and a session wider than q
+    # can never be decoded: neither case pushes anything through the network
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagated")
+
+    ln = width_network(2, 2, (1, 1))
+    slots, total = _layout(ln)
+    pairs_entries = total - 2 * 2  # the decoders are two 1 x 2 matrices
+    below = _decoder_floor(ln, slots, pairs_entries) * 2**pairs_entries
+    wide = width_network(3, 1, (2,))
+    monkeypatch.setattr(search, "_propagate", refuse)
+    result = exhaustive_search(ln, budget=below)
+    assert (result.outcome, result.scanned) == ("budget-exceeded", below)
+    result = exhaustive_search(wide, budget=candidate_count(wide))
+    assert (result.outcome, result.scanned) == ("exhausted", candidate_count(wide))
+    with pytest.raises(AssertionError, match="propagated"):
+        exhaustive_search(ln, budget=below + 1)
+
+
+def test_wide_integer_kernel_finds_the_first_hit():
+    # with q = 3 near the modulus cap the kernel runs on exact Python
+    # integers; every index below p**3 has a zero decoder, p**3 a zero
+    # encoder, and p**3 + 1 is the unit encoder with the unit decoder
+    big = 2**31 - 1
+    ln = width_network(big, 3, (1,))
+    assert _kernel_dtype(ln) is object
+    pairs = big**3
+    result = exhaustive_search(ln, budget=pairs + 2)
+    assert (result.outcome, result.index, result.scanned) == ("found", pairs + 1, pairs + 2)
+    assert result.code.encoders[1].to_rows() == [[1], [0], [0]]
+    assert result.code.decoders[1].to_rows() == [[1, 0, 0]]
+    result = exhaustive_search(ln, budget=pairs + 1, chunk_size=1)
+    assert (result.outcome, result.scanned) == ("budget-exceeded", pairs + 1)
