@@ -55,7 +55,7 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldModulus:
-    """A prime modulus p with scalar arithmetic helpers.
+    """A prime modulus p with its scalar inverse.
 
     Primality is checked by trial division at construction; p is capped
     at 2**31 - 1 so that single products always fit in 64-bit integers.
@@ -71,21 +71,6 @@ class FieldModulus:
         if not _is_prime(self.p):
             raise ValueError(f"modulus must be prime, got {self.p}")
 
-    def normalize(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         a %= self.p
@@ -98,9 +83,6 @@ class FieldModulus:
             r0, r1 = r1, r0 - quot * r1
             s0, s1 = s1, s0 - quot * s1
         return s0 % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def __str__(self) -> str:
         return f"GF({self.p})"
@@ -134,6 +116,10 @@ class GfMatrix:
             arr = np.array(rows, dtype=np.int64)
         except OverflowError:
             arr = np.array(rows, dtype=object)
+        except ValueError:
+            arr = np.array(rows, dtype=object)  # ragged rows give a 1-D array
+            if arr.ndim == 2:
+                raise
         if arr.ndim != 2:
             raise ShapeMismatchError(f"expected a rectangular grid of rows, got ndim={arr.ndim}")
         return cls(field, np.mod(arr, field.p).astype(np.int64))

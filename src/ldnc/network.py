@@ -40,6 +40,14 @@ class Edge:
     gain: GfMatrix
 
 
+def _grouped(items: Iterable, key) -> dict:
+    """The items as tuples keyed by ``key(item)``, in their given order."""
+    by_key: dict = {}
+    for x in items:
+        by_key.setdefault(key(x), []).append(x)
+    return {k: tuple(xs) for k, xs in by_key.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class Network:
     field: FieldModulus
@@ -66,23 +74,21 @@ class Network:
 
     @cached_property
     def _in_edges_by_node(self) -> dict[str, tuple[Edge, ...]]:
-        by_node: dict[str, list[Edge]] = {}
-        for e in self.edges:
-            by_node.setdefault(e.dst, []).append(e)
-        return {v: tuple(es) for v, es in by_node.items()}
+        return _grouped(self.edges, lambda e: e.dst)
+
+    @cached_property
+    def _out_edges_by_node(self) -> dict[str, tuple[Edge, ...]]:
+        return _grouped(self.edges, lambda e: e.src)
 
     @cached_property
     def _sessions_by_source(self) -> dict[str, tuple[Session, ...]]:
-        by_node: dict[str, list[Session]] = {}
-        for s in self.sessions_sorted():
-            by_node.setdefault(s.source, []).append(s)
-        return {v: tuple(ss) for v, ss in by_node.items()}
+        return _grouped(self.sessions_sorted(), lambda s: s.source)
 
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._in_edges_by_node.get(node, ()))
 
     def out_edges(self, node: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == node]
+        return list(self._out_edges_by_node.get(node, ()))
 
     def sessions_sorted(self) -> tuple[Session, ...]:
         return tuple(sorted(self.sessions, key=lambda s: s.id))
@@ -286,10 +292,7 @@ class LayeredNetwork:
 
     @cached_property
     def _nodes_by_layer(self) -> dict[int, tuple[str, ...]]:
-        by_layer: dict[int, list[str]] = {}
-        for v in sorted(self.base.nodes):
-            by_layer.setdefault(self.layer_map[v], []).append(v)
-        return {m: tuple(vs) for m, vs in by_layer.items()}
+        return _grouped(sorted(self.base.nodes), self.layer_map.__getitem__)
 
     @cached_property
     def _relay_nodes(self) -> tuple[str, ...]:
@@ -327,81 +330,40 @@ class LayeredNetwork:
         return session.width * self.horizon
 
 
-def _undirected_components(n: Network) -> list[set[str]]:
-    adjacency: dict[str, set[str]] = {v: set() for v in n.nodes}
-    for e in n.edges:
-        adjacency[e.src].add(e.dst)
-        adjacency[e.dst].add(e.src)
-    seen: set[str] = set()
-    components = []
-    for start in n.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        components.append(comp)
-    return components
-
-
-def _propagate_labels(
-    n: Network, starts: dict[str, int], labels: dict[str, int]
-) -> None:
-    """BFS over the undirected graph with +1/-1 offsets along edge direction."""
-    out_adj: dict[str, list[str]] = {v: [] for v in n.nodes}
-    in_adj: dict[str, list[str]] = {v: [] for v in n.nodes}
-    for e in n.edges:
-        out_adj[e.src].append(e.dst)
-        in_adj[e.dst].append(e.src)
-    queue = list(starts)
-    for v, lab in starts.items():
-        if v in labels and labels[v] != lab:
-            raise NotLayeredError(
-                f"node {v!r} is pinned to layers {labels[v]} and {lab}"
-            )
-        labels[v] = lab
-    while queue:
-        v = queue.pop()
-        for w in out_adj[v]:
-            want = labels[v] + 1
-            if w in labels:
-                if labels[w] != want:
-                    raise NotLayeredError(
-                        f"edge {v!r} -> {w!r} joins layers {labels[v]} and {labels[w]}"
-                    )
-            else:
+def _propagate_labels(n: Network, seeds: Iterable[str]) -> dict[str, int]:
+    """Label everything connected to ``seeds`` (all at layer 0) by a walk
+    over the undirected graph, +1 along an edge and -1 against it."""
+    labels = dict.fromkeys(seeds, 0)
+    stack = list(labels)
+    while stack:
+        v = stack.pop()
+        for e in n._out_edges_by_node.get(v, ()) + n._in_edges_by_node.get(v, ()):
+            w, want = (e.dst, labels[v] + 1) if e.src == v else (e.src, labels[v] - 1)
+            if w not in labels:
                 labels[w] = want
-                queue.append(w)
-        for w in in_adj[v]:
-            want = labels[v] - 1
-            if w in labels:
-                if labels[w] != want:
-                    raise NotLayeredError(
-                        f"edge {w!r} -> {v!r} joins layers {labels[w]} and {labels[v]}"
-                    )
-            else:
-                labels[w] = want
-                queue.append(w)
+                stack.append(w)
+            elif labels[w] != want:
+                raise NotLayeredError(
+                    f"edge {e.src!r} -> {e.dst!r} joins layers {labels[e.src]} and {labels[e.dst]}"
+                )
+    return labels
 
 
 def detect_layers(n: Network) -> LayeredNetwork:
     """Compute the layer assignment with all sources at layer 0.
 
-    Labels spread from the session sources (layer 0) through connected
-    components; components that contain no source get relative labels
-    from their session destinations and are pinned to the final layer.
-    When no destination is reachable from a source the final layer is
-    the smallest feasible one, which keeps detection symmetric between a
-    network and its reciprocal.  Raises :class:`NotLayeredError` when no
-    consistent assignment exists: an edge inside a layer or skipping
-    one, a cycle, a destination off the final layer, a component with
-    neither source nor destination, or a destination that also relays.
+    One walk labels every component that holds a session source, with
+    all sources at layer 0; each remaining component gets labels relative
+    to its smallest destination and is pinned to the final layer.  A walk
+    checks every edge from both of its ends, so edges join consecutive
+    layers once it succeeds.  When no destination is reachable from a
+    source the final layer is the smallest feasible one, which keeps
+    detection symmetric between a network and its reciprocal.  Raises
+    :class:`NotLayeredError` when no consistent assignment exists: an
+    edge inside a layer or skipping one, a cycle, a destination off the
+    final layer, a component with neither source nor destination, or a
+    destination that also relays (its successor lies past the final
+    layer).
     """
     require_valid(n)
     if not n.sessions:
@@ -415,31 +377,30 @@ def detect_layers(n: Network) -> LayeredNetwork:
             f"node {both!r} is both a session source and a session destination"
         )
 
-    labels: dict[str, int] = {}
+    labels = _propagate_labels(n, (s.source for s in n.sessions))
+    walked = set(labels)
     deferred: list[dict[str, int]] = []
-    for comp in _undirected_components(n):
-        anchor_sources = {v: 0 for v in comp if v in sources}
-        if anchor_sources:
-            _propagate_labels(n, anchor_sources, labels)
+    for d in sorted(destinations):
+        if d in walked:
             continue
-        comp_dests = sorted(v for v in comp if v in destinations)
-        if not comp_dests:
-            raise NotLayeredError(
-                f"component containing {sorted(comp)[0]!r} holds no source or destination"
-            )
-        # labels relative to this component's destinations, pinned later
-        relative: dict[str, int] = {}
-        _propagate_labels(n, {comp_dests[0]: 0}, relative)
+        # labels relative to this component's smallest destination, pinned later
+        relative = _propagate_labels(n, (d,))
         if max(relative.values()) > 0:
             offender = max(relative, key=relative.__getitem__)
             raise NotLayeredError(f"node {offender!r} sits past the final layer")
         deferred.append(relative)
+        walked.update(relative)
+    stray = [v for v in n.nodes if v not in walked]
+    if stray:
+        raise NotLayeredError(
+            f"component containing {min(stray)!r} holds no source or destination"
+        )
 
     anchored_dest_layers = [labels[v] for v in destinations if v in labels]
     if anchored_dest_layers:
         horizon = max(anchored_dest_layers)
     else:
-        depth = max(labels.values(), default=0)
+        depth = max(labels.values())
         reach = max((-min(rel.values()) for rel in deferred), default=0)
         horizon = max(depth, reach, 1)
     for rel in deferred:
@@ -456,20 +417,9 @@ def detect_layers(n: Network) -> LayeredNetwork:
         )
     if horizon < 1:
         raise NotLayeredError("destinations coincide with the source layer")
-
-    for e in n.edges:
-        if labels[e.dst] != labels[e.src] + 1:
-            raise NotLayeredError(
-                f"edge {e.src!r} -> {e.dst!r} joins layers {labels[e.src]} and {labels[e.dst]}"
-            )
     for s in n.sessions:
-        if labels[s.source] != 0:
-            raise NotLayeredError(f"session {s.id} source is not at layer 0")
         if labels[s.destination] != horizon:
             raise NotLayeredError(f"session {s.id} destination is not at the final layer")
-    for d in destinations:
-        if n.out_edges(d):
-            raise NotLayeredError(f"destination {d!r} also relays")
 
     return LayeredNetwork(base=n, layer_map=labels, horizon=horizon)
 

@@ -18,12 +18,12 @@ channel gains unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coding import LinearCode, TransferMap, transfer_matrices, validate_code
-from .errors import CodeBindingError, NonShiftGainError
+from .errors import NonShiftGainError
 from .gf_linalg import as_shift_strength, flip_matrix
-from .network import Edge, LayeredNetwork, Network, Session, reciprocal_layered
+from .network import LayeredNetwork, reciprocal_layered
 
 
 def transpose_code(ln: LayeredNetwork, code: LinearCode) -> LinearCode:
@@ -92,22 +92,13 @@ def verify_reciprocity(ln: LayeredNetwork, code: LinearCode) -> ReciprocityRepor
 def physical_reverse(ln: LayeredNetwork) -> LayeredNetwork:
     """The reverse network reusing the original gains on flipped edges.
 
-    This is the reciprocal with transposition left out: the physical
+    This is the reciprocal with its gains transposed back: the physical
     channel behaves identically in both directions, so the reverse link
     keeps the forward gain matrix.
     """
-    n = ln.base
-    base = Network(
-        field=n.field,
-        q=n.q,
-        nodes=n.nodes,
-        edges=tuple(Edge(e.dst, e.src, e.gain) for e in n.edges),
-        sessions=tuple(
-            Session(s.id, s.destination, s.source, s.width) for s in n.sessions
-        ),
-    )
-    flipped = {v: ln.horizon - m for v, m in ln.layer_map.items()}
-    return LayeredNetwork(base=base, layer_map=flipped, horizon=ln.horizon)
+    rln = reciprocal_layered(ln)
+    edges = tuple(replace(e, gain=e.gain.T) for e in rln.base.edges)
+    return replace(rln, base=replace(rln.base, edges=edges))
 
 
 def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
@@ -126,10 +117,7 @@ def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
             raise NonShiftGainError(
                 f"gain on edge {e.src} -> {e.dst} is not a shift matrix"
             )
-    rln = reciprocal_layered(ln)
-    if rcode.network != rln:
-        raise CodeBindingError("code is not bound to the reciprocal of the network")
-    validate_code(rln, rcode)
+    validate_code(reciprocal_layered(ln), rcode)
     j = flip_matrix(ln.base.field, ln.base.q)
     return LinearCode(
         network=physical_reverse(ln),

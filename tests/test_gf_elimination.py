@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from ldnc.errors import ShapeMismatchError
 from ldnc.gf_linalg import FieldModulus, GfMatrix, lowest_solutions, mat_rank, row_reduce
 
 BRUTE_CHUNK = 1 << 16
@@ -147,3 +148,9 @@ def test_from_rows_reduces_entries_beyond_int64_exactly():
         m = GfMatrix.from_rows(FieldModulus(p), [huge[:2], huge[2:]])
         assert m.to_rows() == [[huge[0] % p, huge[1] % p], [huge[2] % p, huge[3] % p]]
         assert m.to_array().dtype == np.int64
+
+
+def test_from_rows_rejects_ragged_rows():
+    for ragged in ([[1, 2], [3]], [[2**70, 1], [3]]):
+        with pytest.raises(ShapeMismatchError):
+            GfMatrix.from_rows(FieldModulus(5), ragged)

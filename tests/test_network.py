@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldnc.errors import InvalidNetworkError, NotLayeredError
 from ldnc.gf_linalg import (
@@ -259,6 +261,7 @@ def test_cached_lookups_match_linear_scans():
         n = ln.base
         for v in n.nodes + ("absent",):
             assert n.in_edges(v) == [e for e in n.edges if e.dst == v]
+            assert n.out_edges(v) == [e for e in n.edges if e.src == v]
             assert n.sessions_sourced_at(v) == tuple(
                 s for s in sorted(n.sessions, key=lambda s: s.id) if s.source == v
             )
@@ -274,8 +277,42 @@ def test_cached_lookups_match_linear_scans():
 def test_cached_lookups_hand_out_fresh_lists():
     ln = detect_layers(two_unicast_network())
     ln.base.in_edges("3").clear()
+    ln.base.out_edges("3").clear()
     ln.nodes_at(1).clear()
     ln.relay_nodes().clear()
     assert len(ln.base.in_edges("3")) == 2
+    assert len(ln.base.out_edges("3")) == 2
     assert ln.nodes_at(1) == ["3", "4"]
     assert ln.relay_nodes() == ["3", "4"]
+
+
+@st.composite
+def small_networks(draw):
+    """Up to 7 nodes on up to 4 drawn layers; edges and session ends lean
+    towards ones a layering allows, so that both outcomes are common."""
+    layers = draw(st.lists(st.integers(0, 3), min_size=2, max_size=7))
+    nodes = [f"v{i}" for i in range(len(layers))]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    forward = [(a, b) for a, b in pairs if layers[int(b[1:])] == layers[int(a[1:])] + 1]
+    edges = draw(st.lists(st.sampled_from(forward * 3 + pairs), max_size=9, unique=True))
+    first = [v for v in nodes if layers[int(v[1:])] == min(layers)]
+    last = [v for v in nodes if layers[int(v[1:])] == max(layers)]
+    ends = st.tuples(st.sampled_from(first * 3 + nodes), st.sampled_from(last * 3 + nodes))
+    sessions = draw(st.lists(ends.filter(lambda e: e[0] != e[1]), min_size=1, max_size=3))
+    g = identity(GF2, 1)
+    return network(
+        2, 1, nodes, [(a, b, g) for a, b in edges],
+        [(k + 1, s, d, 1) for k, (s, d) in enumerate(sessions)],
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_networks())
+def test_layer_detection_is_symmetric_under_reciprocity(n):
+    try:
+        ln = detect_layers(n)
+    except NotLayeredError:
+        with pytest.raises(NotLayeredError):
+            detect_layers(reciprocal(n))
+        return
+    assert reciprocal_layered(ln) == detect_layers(reciprocal(n))
