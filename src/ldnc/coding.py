@@ -9,9 +9,12 @@ maps; :func:`simulate` runs the same network on concrete message vectors;
 exactly.
 
 :func:`simulate` and the code search share one batched propagation
-kernel, :func:`_propagate`, over stacked integer arrays; the
+kernel, :func:`_propagate`, over stacked int64 residue arrays; the
 ``GfMatrix`` propagation of :func:`transfer_matrices` stays separate so
-that it can independently re-verify what the kernel finds.
+that it can independently re-verify what the kernel finds.  Both take
+every product from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in
+int64 when the unreduced sum fits it and on Python integers otherwise,
+so every result is exact for every modulus.
 
 Propagation is linear in the number of edges.  Summing gain/encoder
 products over every source-destination path gives the same grid; that
@@ -26,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CodeBindingError
-from .gf_linalg import GfMatrix, is_kronecker_delta_identity, zeros
+from .gf_linalg import GfMatrix, is_kronecker_delta_identity, matmul_mod, zeros
 from .network import LayeredNetwork, Session
 
 
@@ -117,48 +120,19 @@ def _received(ln: LayeredNetwork, transmitted: dict[str, GfMatrix], node: str, w
     return acc
 
 
-def _batched_sums_fit_int64(ln: LayeredNetwork) -> bool:
-    """True when :func:`_propagate` may run in int64 on this network.
-
-    The widest unreduced sum is a node's fan-in times an inner product of
-    length q (or a message length, for encoders) of residues below p.
-    """
-    p = ln.base.field.p
-    q = ln.base.q
-    fan_in = max((len(ln.base.in_edges(v)) for v in ln.base.nodes), default=1)
-    widest = max((ln.message_length(s) for s in ln.base.sessions), default=1)
-    return max(fan_in, 1) * max(q, widest, 1) * (p - 1) * (p - 1) < 2**63
-
-
-def _kernel_dtype(ln: LayeredNetwork) -> type:
-    """int64 when every batched sum fits it, else exact Python integers."""
-    return np.int64 if _batched_sums_fit_int64(ln) else object
-
-
-def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce a freshly computed integer array mod p, in place.
-
-    Subtracting the floor quotient gives the same residues as ``%`` and
-    runs several times faster on int64 arrays.
-    """
-    x -= x // p * p
-    return x
-
-
 def _propagate(
     ln: LayeredNetwork,
     sent: Mapping[str, np.ndarray],
     relays: Mapping[str, np.ndarray],
-    dtype: type,
 ) -> dict[str, np.ndarray]:
     """Push layer-0 transmissions through the network to the final layer.
 
     ``sent`` maps layer-0 nodes to (batch, q, cols) transmissions and
     ``relays`` maps every relay node to a (batch, q, q) stack or one
-    (q, q) matrix shared by the batch; all arrays hold residues of
-    ``dtype``.  Each node sums its gain-weighted inputs with
-    ``np.matmul`` and reduces mod p; nodes nothing reaches are left out
-    of the returned final-layer arrivals.
+    (q, q) matrix shared by the batch; all arrays hold int64 residues.
+    Each node sums its gain-weighted inputs in one
+    :func:`~ldnc.gf_linalg.matmul_mod` call; nodes nothing reaches are
+    left out of the returned final-layer arrivals.
     """
     p = ln.base.field.p
     transmitted = sent
@@ -166,19 +140,15 @@ def _propagate(
     for layer in range(1, ln.horizon + 1):
         arrived = {}
         for v in ln.nodes_at(layer):
-            acc = None
-            for e in ln.base.in_edges(v):
-                x = transmitted.get(e.src)
-                if x is None:
-                    continue
-                term = np.matmul(e.gain.to_array().astype(dtype, copy=False), x)
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                arrived[v] = _reduce_mod(acc, p)
+            pairs = [
+                (e.gain.to_array(), transmitted[e.src])
+                for e in ln.base.in_edges(v)
+                if e.src in transmitted
+            ]
+            if pairs:
+                arrived[v] = matmul_mod(p, *pairs)
         if layer < ln.horizon:
-            transmitted = {
-                v: _reduce_mod(np.matmul(relays[v], y), p) for v, y in arrived.items()
-            }
+            transmitted = {v: matmul_mod(p, (relays[v], y)) for v, y in arrived.items()}
     return arrived
 
 
@@ -247,26 +217,23 @@ def simulate(
                 f"expected ({ln.message_length(s)}, {ncols})"
             )
     fm = ln.base.field
-    dtype = _kernel_dtype(ln)
-
-    def arr(m: GfMatrix) -> np.ndarray:
-        return m.to_array().astype(dtype, copy=False)
-
-    by_id = {s.id: arr(w) for s, w in zip(sessions, messages)}
+    by_id = {s.id: w.to_array() for s, w in zip(sessions, messages)}
     sent = {}
     for node in ln.nodes_at(0):
-        acc = np.zeros((ln.base.q, ncols), dtype=dtype)
-        for s in ln.base.sessions_sourced_at(node):
-            acc = acc + _reduce_mod(np.matmul(arr(code.encoders[s.id]), by_id[s.id]), fm.p)
-        sent[node] = _reduce_mod(acc, fm.p)[np.newaxis]
-    relays = {node: arr(m) for node, m in code.relays.items()}
-    arrived = _propagate(ln, sent, relays, dtype)
+        pairs = [
+            (code.encoders[s.id].to_array(), by_id[s.id])
+            for s in ln.base.sessions_sourced_at(node)
+        ]
+        if pairs:
+            sent[node] = matmul_mod(fm.p, *pairs)[np.newaxis]
+    relays = {node: m.to_array() for node, m in code.relays.items()}
+    arrived = _propagate(ln, sent, relays)
     out = []
     for s in sessions:
         y = arrived.get(s.destination)
         rec = np.zeros((ln.message_length(s), ncols), dtype=np.int64)
         if y is not None:
-            rec = _reduce_mod(np.matmul(arr(code.decoders[s.id]), y[0]), fm.p).astype(np.int64)
+            rec = matmul_mod(fm.p, (code.decoders[s.id].to_array(), y[0]))
         out.append(GfMatrix(fm, rec))
     return out
 

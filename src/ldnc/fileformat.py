@@ -8,7 +8,8 @@ boundary) are removed; ``{x}`` repeats x, ``[x]`` makes it optional::
               | "edges" ":" {ID "->" ID "gain" gain}
               | "sessions" ":" {INT ":" ID "->" ID "width" INT}
     gain     := "shift" "g" "=" INT | matrix        0 <= g <= q, and q >= 1
-    code     := "T" ":" INT {("C" | "D") INT ":" matrix | "F" ID ":" matrix}
+    code     := "T" ":" INT {"C" INT ":" matrix | "D" INT ":" decoder | "F" ID ":" matrix}
+    decoder  := matrix | "[" "]"                    0 x q, only for a width-0 session
     messages := {"W" INT ":" vector}
     matrix   := "[" vector {"," vector} "]"         rows of equal length
     vector   := "[" [INT {"," INT}] "]"             entries reduced exactly mod p
@@ -58,6 +59,7 @@ _SPLIT_ENTRY = re.compile(r"[0-9]\s+[0-9]")
 # An entry of 19 or more digits may not fit an int64.
 _LONG_ENTRY = re.compile(r"[0-9]{19}")
 _SEPARATORS = str.maketrans("[],", "   ")
+_EMPTY = re.compile(r"\[\s*\]")
 
 
 def _int(digits: str) -> int:
@@ -114,7 +116,11 @@ class _Stream:
             return flat, np.array([_int(d) % p for d in digits.split()], dtype=np.int64)
         return flat, np.fromstring(digits, dtype=np.int64, sep=" ") % p
 
-    def matrix(self, field: FieldModulus) -> GfMatrix:
+    def matrix(self, field: FieldModulus, empty_cols: int | None = None) -> GfMatrix:
+        """The next matrix literal; given ``empty_cols``, ``[]`` is 0 x empty_cols."""
+        if empty_cols is not None and _EMPTY.fullmatch(self.peek() or ""):
+            self.next()
+            return GfMatrix(field, np.zeros((0, empty_cols), dtype=np.int64))
         flat, entries = self._literal(_MATRIX, field.p)
         rows = flat[2:-2].split("],[")
         widths = {row.count(",") + 1 if row else 0 for row in rows}
@@ -251,7 +257,7 @@ def parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
         if kind == "C" or kind == "D":
             key = ts.integer()
             ts.expect(":")
-            mat = ts.matrix(field)
+            mat = ts.matrix(field, ln.base.q if kind == "D" else None)
             target = encoders if kind == "C" else decoders
             if key in target:
                 raise ParseError(f"duplicate {kind} record for session {key}")

@@ -18,6 +18,12 @@ this package is built on:
   network is unfolded over time, with the original gain placed in the
   bottom-left q x q block of a ``q*(horizon+2)`` square matrix.
 
+:func:`matmul_mod` is the package's one matrix product: the sum of
+``a @ b`` over pairs of plain or stacked residue arrays, reduced mod p,
+in int64 when the unreduced sum fits it and on Python integers
+otherwise.  ``GfMatrix`` multiplication, the batched propagation kernel
+of :mod:`ldnc.coding` and the unfolding code all go through it.
+
 :func:`row_reduce` brings a whole stack of matrices to reduced
 row-echelon form at once; :func:`mat_rank` and :func:`lowest_solutions`,
 the decoder solver of the exhaustive search, are built on it.
@@ -35,6 +41,8 @@ from .errors import ModulusMismatchError, ShapeMismatchError
 
 _MAX_MODULUS = 2**31 - 1
 _INT64_MAX = 2**63 - 1
+# Up to this many entries one ``%`` reduces faster than ``x -= x // p * p``.
+_SMALL_REDUCE = 256
 # Largest dense int64 matrix set (in bytes) built from a compact description:
 # shift gains read from a file, or the embedded gains of an unfolding.
 MAX_DENSE_BYTES = 1 << 28
@@ -194,13 +202,7 @@ class GfMatrix:
         self._require_same_field(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.field.p
-        # Inner products accumulate cols * (p-1)^2 before reduction; fall
-        # back to arbitrary-precision integers when that cannot fit in int64.
-        if self.cols and self.cols * (p - 1) * (p - 1) > _INT64_MAX:
-            prod = (self._a.astype(object) @ other._a.astype(object)) % p
-            return GfMatrix(self.field, prod.astype(np.int64))
-        return GfMatrix(self.field, (self._a @ other._a) % p)
+        return GfMatrix(self.field, matmul_mod(self.field.p, (self._a, other._a)))
 
     def transpose(self) -> "GfMatrix":
         return GfMatrix(self.field, np.ascontiguousarray(self._a.T))
@@ -208,6 +210,39 @@ class GfMatrix:
     @property
     def T(self) -> "GfMatrix":
         return self.transpose()
+
+
+def matmul_mod(p: int, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The sum of ``a @ b`` over one or more pairs, reduced mod p.
+
+    Operands hold residues in [0, p) and are plain matrices or stacks
+    that ``np.matmul`` broadcasts; every product must have the same shape
+    or broadcast to a common one.  Before reduction an entry is at most
+    the sum of each pair's inner length times (p-1)^2.  When that fits
+    int64 the sum runs in int64; otherwise it runs on Python integers
+    (``object`` arrays), so the int64 residues returned are exact for
+    every modulus.
+    """
+    inner = 0
+    for a, _ in pairs:
+        inner += a.shape[-1]
+    if inner * (p - 1) ** 2 > _INT64_MAX:
+        return _matmul_mod_exact(p, pairs)
+    acc = None
+    for a, b in pairs:
+        term = np.matmul(a, b)
+        acc = term if acc is None else acc + term
+    if acc.size <= _SMALL_REDUCE:
+        return np.remainder(acc, p, out=acc)
+    # same residues as %, several times faster on large int64 arrays
+    acc -= acc // p * p
+    return acc
+
+
+def _matmul_mod_exact(p: int, pairs) -> np.ndarray:
+    """:func:`matmul_mod` on Python integers, for sums past int64."""
+    acc = sum(np.matmul(a.astype(object), b.astype(object)) for a, b in pairs)
+    return (acc % p).astype(np.int64)
 
 
 # -- factories -------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .coding import LinearCode, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
-from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity
+from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity, matmul_mod
 from .network import (
     Edge,
     LayeredNetwork,
@@ -328,7 +328,7 @@ def project_code(code: LinearCode) -> UnlayeredLinearScheme:
             received[bottom, prev.shape[1]:] = np.eye(q, dtype=np.int64)
             if layer < horizon:
                 relay = code.relays[stage_name(v, layer)].to_array()
-                current = (relay @ received) % fm.p
+                current = matmul_mod(fm.p, (relay, received))
                 dependence[v] = current
                 enc = GfMatrix(fm, current[_top_rows(q)].copy())
                 if not enc.is_zero():
@@ -340,7 +340,7 @@ def project_code(code: LinearCode) -> UnlayeredLinearScheme:
     for s in n.sessions_sorted():
         dest = s.destination
         width = message_block_width(n, horizon, dest)
-        full = (code.decoders[s.id].to_array() @ dependence[dest]) % fm.p
+        full = matmul_mod(fm.p, (code.decoders[s.id].to_array(), dependence[dest]))
         if full[:, :width].any():
             raise BlockFormError(
                 f"decoder {s.id} depends on messages sourced at the destination"
@@ -404,15 +404,16 @@ def simulate_unlayered(
                 transmitted[v] = np.zeros((q, ncols), dtype=np.int64)
             else:
                 stacked = np.vstack([own_messages[v]] + history[v])
-                transmitted[v] = (enc.to_array() @ stacked) % fm.p
+                transmitted[v] = matmul_mod(fm.p, (enc.to_array(), stacked))
         for v in n.nodes:
-            acc = np.zeros((q, ncols), dtype=np.int64)
-            for e in n.in_edges(v):
-                acc = (acc + e.gain.to_array() @ transmitted[e.src]) % fm.p
-            history[v].append(acc)
+            pairs = [(e.gain.to_array(), transmitted[e.src]) for e in n.in_edges(v)]
+            if pairs:
+                history[v].append(matmul_mod(fm.p, *pairs))
+            else:
+                history[v].append(np.zeros((q, ncols), dtype=np.int64))
 
     outputs = []
     for s in sessions:
         stacked = np.vstack(history[s.destination])
-        outputs.append(GfMatrix(fm, (scheme.decoders[s.id].to_array() @ stacked) % fm.p))
+        outputs.append(GfMatrix(fm, matmul_mod(fm.p, (scheme.decoders[s.id].to_array(), stacked))))
     return outputs

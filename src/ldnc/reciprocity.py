@@ -96,9 +96,12 @@ def physical_reverse(ln: LayeredNetwork) -> LayeredNetwork:
     channel behaves identically in both directions, so the reverse link
     keeps the forward gain matrix.
     """
-    rln = reciprocal_layered(ln)
-    edges = tuple(replace(e, gain=e.gain.T) for e in rln.base.edges)
-    return replace(rln, base=replace(rln.base, edges=edges))
+    return _gains_transposed(reciprocal_layered(ln))
+
+
+def _gains_transposed(ln: LayeredNetwork) -> LayeredNetwork:
+    edges = tuple(replace(e, gain=e.gain.T) for e in ln.base.edges)
+    return replace(ln, base=replace(ln.base, edges=edges))
 
 
 def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
@@ -117,10 +120,11 @@ def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
             raise NonShiftGainError(
                 f"gain on edge {e.src} -> {e.dst} is not a shift matrix"
             )
-    validate_code(reciprocal_layered(ln), rcode)
+    rln = reciprocal_layered(ln)
+    validate_code(rln, rcode)
     j = flip_matrix(ln.base.field, ln.base.q)
     return LinearCode(
-        network=physical_reverse(ln),
+        network=_gains_transposed(rln),
         encoders={k: j @ c for k, c in rcode.encoders.items()},
         decoders={k: d @ j for k, d in rcode.decoders.items()},
         relays={v: j @ f @ j for v, f in rcode.relays.items()},

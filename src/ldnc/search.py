@@ -20,19 +20,18 @@ solvable pairs.  A solving D_k has full row rank, so no index below
 with every D_k of full rank: a budget at or below that bound is decided
 without propagating anything, and the scan of pairs stops as soon as no
 later pair can beat the best index found.  Pairs are decoded from their
-indices into one (entries, batch) digit array and pushed through the
-network by the one propagation kernel of :mod:`ldnc.coding`
-(``np.matmul`` per edge and relay, reduced mod p), all sessions at once
-as the column blocks of one transmission.
+indices into one (entries, batch) int64 digit array and pushed through
+the network by the one propagation kernel of :mod:`ldnc.coding`, all
+sessions at once as the column blocks of one transmission.
 
 :func:`random_search` feeds its sampled trials, decoders included, to
 the same kernel in batches of 1, 2, 4, ... candidates and checks each
 transfer grid entry only on the candidates that passed the earlier ones.
-The kernel runs in int64 when
-:func:`~ldnc.coding._batched_sums_fit_int64` bounds every unreduced sum
-below 2**63, and on exact Python integers (``object`` arrays) otherwise.
-Every returned code is re-verified through the ordinary transfer-matrix
-path before it is handed back.
+Every product, in the kernel and in the decoder checks, is one
+:func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
+fits it, Python integers otherwise, so the search is exact for every
+modulus.  Every returned code is re-verified through the ordinary
+transfer-matrix path before it is handed back.
 """
 
 from __future__ import annotations
@@ -42,16 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (
-    LinearCode,
-    _batched_sums_fit_int64,  # noqa: F401  (the int64 bound, re-exported for tests)
-    _kernel_dtype,
-    _propagate,
-    _reduce_mod,
-    is_solving,
-)
-from .gf_linalg import GfMatrix, lowest_solutions
-from .network import CodeSlot, LayeredNetwork
+from .coding import LinearCode, _propagate, is_solving
+from .gf_linalg import GfMatrix, lowest_solutions, matmul_mod
+from .network import LayeredNetwork
 
 DEFAULT_BUDGET = 1_000_000
 _CHUNK = 1 << 16
@@ -75,14 +67,9 @@ class SearchResult:
     scanned: int
 
 
-def _layout(ln: LayeredNetwork) -> tuple[tuple[CodeSlot, ...], int]:
-    """The network's code slots in enumeration order and its entry count."""
-    return ln._code_layout
-
-
 def free_entry_count(ln: LayeredNetwork) -> int:
     """Number of free matrix entries a code for this network has."""
-    return _layout(ln)[1]
+    return ln._code_layout[1]
 
 
 def candidate_count(ln: LayeredNetwork) -> int:
@@ -109,7 +96,7 @@ def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
 
 def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
     """Decode a candidate index into its code (the enumeration contract)."""
-    slots, total = _layout(ln)
+    slots, total = ln._code_layout
     if not 0 <= index < ln.base.field.p ** total:
         raise ValueError(f"candidate index {index} out of range")
     p = ln.base.field.p
@@ -120,14 +107,14 @@ def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
     return _code_from_entries(ln, slots, entries)
 
 
-def _candidate_digits(start: int, count: int, total_entries: int, p: int, dtype) -> np.ndarray:
+def _candidate_digits(start: int, count: int, total_entries: int, p: int) -> np.ndarray:
     """Base-p digits of candidates start .. start+count-1, one row per entry.
 
     Digit e is constant over runs of p**e consecutive indices, so each row
     is written as repeated runs rather than divided out per candidate;
     digits above the largest index stay zero.
     """
-    digits = np.zeros((total_entries, count), dtype=dtype)
+    digits = np.zeros((total_entries, count), dtype=np.int64)
     top = start + count - 1
     run = 1
     for e in range(total_entries):
@@ -164,7 +151,7 @@ def _stacks(slots, digits: np.ndarray) -> dict[tuple[str, object], np.ndarray]:
     }
 
 
-def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.ndarray:
+def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
     """Boolean solving mask of a batch of candidates given as (entries, batch) digits.
 
     Each check of the transfer grid runs only on the candidates that passed
@@ -180,7 +167,7 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.nd
         wl = ln.message_length(sl)
         sent = {sl.source: _take(mats[("C", sl.id)], alive)}
         relays = {v: _take(mats[("F", v)], alive) for v in ln.relay_nodes()}
-        arrived = _propagate(ln, sent, relays, dtype)
+        arrived = _propagate(ln, sent, relays)
         passed = np.arange(alive.size)
         for sk in (sl, *(s for s in sessions if s is not sl)):
             wk = ln.message_length(sk)
@@ -193,10 +180,10 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.nd
                 if target.any():
                     passed = passed[:0]
             else:
-                gamma = np.matmul(
-                    _take(mats[("D", sk.id)], alive[passed]), _take(y, passed)
+                gamma = matmul_mod(
+                    p, (_take(mats[("D", sk.id)], alive[passed]), _take(y, passed))
                 )
-                passed = passed[(_reduce_mod(gamma, p) == target).all(axis=(1, 2))]
+                passed = passed[(gamma == target).all(axis=(1, 2))]
             if not passed.size:
                 break
         alive = alive[passed]
@@ -205,12 +192,6 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray, dtype) -> np.nd
     ok = np.zeros(count, dtype=bool)
     ok[alive] = True
     return ok
-
-
-def _scan_chunk(ln: LayeredNetwork, slots, total_entries, start, count, dtype) -> np.ndarray:
-    """Boolean solving mask for candidates start .. start+count-1."""
-    digits = _candidate_digits(start, count, total_entries, ln.base.field.p, dtype)
-    return _solving_mask(ln, slots, digits, dtype)
 
 
 def _verified(ln: LayeredNetwork, code: LinearCode, where: str) -> LinearCode:
@@ -247,7 +228,7 @@ def _pairs_per_batch(ln: LayeredNetwork, total_entries: int) -> int:
     return max(1, _CHUNK * max(total_entries, 1) // max(per_pair, 1))
 
 
-def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count, dtype):
+def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
     """(d, cf) of the lowest solving index among pairs start .. start+count-1.
 
     Every session is pushed through the network as one column block of a
@@ -258,16 +239,16 @@ def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count, dty
     """
     p = ln.base.field.p
     q = ln.base.q
-    digits = _candidate_digits(start, count, pairs_entries, p, dtype)
+    digits = _candidate_digits(start, count, pairs_entries, p)
     mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
     sessions = ln.base.sessions_sorted()
     cuts = np.cumsum([0, *(ln.message_length(s) for s in sessions)])
     width = int(cuts[-1])
     sent: dict[str, np.ndarray] = {}
     for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        block = sent.setdefault(s.source, np.zeros((count, q, width), dtype=dtype))
+        block = sent.setdefault(s.source, np.zeros((count, q, width), dtype=np.int64))
         block[:, :, lo:hi] = mats[("C", s.id)]
-    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()}, dtype)
+    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()})
     alive = np.arange(count)
     solutions: list[np.ndarray] = []
     for s, lo, hi in zip(sessions, cuts, cuts[1:]):
@@ -311,7 +292,7 @@ def exhaustive_search(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    slots, total_entries = _layout(ln)
+    slots, total_entries = ln._code_layout
     p = ln.base.field.p
     space = p**total_entries
     bound = min(space, budget)
@@ -320,13 +301,12 @@ def exhaustive_search(
     floor = _decoder_floor(ln, slots, pairs_entries)
     best = None
     if floor is not None and floor * pairs < bound:
-        dtype = _kernel_dtype(ln)
         batch = min(chunk_size, _pairs_per_batch(ln, total_entries))
         start, stop = 0, min(pairs, bound - floor * pairs)
         # no pair from start on can give an index below floor * pairs + start
         while start < stop and (best is None or best >= floor * pairs + start):
             count = min(batch, stop - start)
-            hit = _lowest_decoders(ln, slots, pairs_entries, start, count, dtype)
+            hit = _lowest_decoders(ln, slots, pairs_entries, start, count)
             if hit is not None:
                 index = hit[0] * pairs + hit[1]
                 best = index if best is None else min(best, index)
@@ -349,9 +329,8 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    slots, total_entries = _layout(ln)
+    slots, total_entries = ln._code_layout
     p = ln.base.field.p
-    dtype = _kernel_dtype(ln)
     rng = random.Random(seed)
     drawn, size = 0, 1
     while drawn < trials:
@@ -360,8 +339,8 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
         entries = np.fromiter(
             (rng.randrange(p) for _ in range(size_entries)), dtype=np.int64, count=size_entries
         )
-        digits = entries.reshape(count, total_entries).T.astype(dtype, copy=False)
-        hits = np.flatnonzero(_solving_mask(ln, slots, digits, dtype))
+        digits = entries.reshape(count, total_entries).T
+        hits = np.flatnonzero(_solving_mask(ln, slots, digits))
         if hits.size:
             trial = drawn + int(hits[0]) + 1
             code = _code_from_entries(ln, slots, digits[:, hits[0]].tolist())

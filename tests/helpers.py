@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 
-from ldnc.coding import LinearCode, TransferMap, _kernel_dtype, is_solving, validate_code
+from ldnc import gf_linalg
+from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
 from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
 from ldnc.fileformat import _MAX_SHIFT_BYTES
 from ldnc.gf_linalg import (
@@ -21,9 +22,9 @@ from ldnc.network import Edge, LayeredNetwork, Network, Session, detect_layers, 
 from ldnc.search import (
     SearchResult,
     _CHUNK,
+    _candidate_digits,
     _code_from_entries,
-    _layout,
-    _scan_chunk,
+    _solving_mask,
     _verified,
     candidate_code,
 )
@@ -508,6 +509,26 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
     return TransferMap(sessions=sessions, grid=tuple(grid))
 
 
+def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
+    """Boolean solving mask of candidates start .. start+count-1, decoders included."""
+    slots, total_entries = ln._code_layout
+    digits = _candidate_digits(start, count, total_entries, ln.base.field.p)
+    return _solving_mask(ln, slots, digits)
+
+
+def record_exact_products(monkeypatch) -> list[int]:
+    """A list that gains the modulus of every product taking the exact branch."""
+    calls: list[int] = []
+    exact = gf_linalg._matmul_mod_exact
+
+    def spy(p, pairs):
+        calls.append(p)
+        return exact(p, pairs)
+
+    monkeypatch.setattr(gf_linalg, "_matmul_mod_exact", spy)
+    return calls
+
+
 def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult:
     """Full-candidate scan: every index below the bound, decoders included.
 
@@ -515,13 +536,11 @@ def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult
     solved for the decoders; the two must agree on outcome, index,
     scanned count and code.
     """
-    slots, total_entries = _layout(ln)
-    dtype = _kernel_dtype(ln)
-    space = ln.base.field.p ** total_entries
+    space = ln.base.field.p ** ln._code_layout[1]
     bound = min(space, budget)
     for start in range(0, bound, _CHUNK):
         count = min(_CHUNK, bound - start)
-        hits = np.flatnonzero(_scan_chunk(ln, slots, total_entries, start, count, dtype))
+        hits = np.flatnonzero(scan_chunk(ln, start, count))
         if hits.size:
             index = start + int(hits[0])
             code = _verified(ln, candidate_code(ln, index), f"index {index}")
@@ -535,7 +554,7 @@ def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> S
     Draws entries in the same order as :func:`ldnc.search.random_search`,
     so the two must agree on outcome, trial index and code.
     """
-    slots, total_entries = _layout(ln)
+    slots, total_entries = ln._code_layout
     p = ln.base.field.p
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
@@ -613,8 +632,11 @@ class _RefStream:
             raise ParseError(f"invalid node id {tok!r}")
         return tok
 
-    def matrix(self, field: FieldModulus) -> GfMatrix:
+    def matrix(self, field: FieldModulus, empty_cols=None) -> GfMatrix:
         self.expect("[")
+        if empty_cols is not None and self.peek() == "]":
+            self.next()
+            return GfMatrix(field, np.zeros((0, empty_cols), dtype=np.int64))
         rows = []
         while True:
             rows.append(self._row())
@@ -723,7 +745,7 @@ def reference_parse_code(text: str, ln: LayeredNetwork) -> LinearCode:
         if kind == "C" or kind == "D":
             key = ts.integer()
             ts.expect(":")
-            mat = ts.matrix(field)
+            mat = ts.matrix(field, ln.base.q if kind == "D" else None)
             target = encoders if kind == "C" else decoders
             if key in target:
                 raise ParseError(f"duplicate {kind} record for session {key}")

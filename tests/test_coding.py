@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldnc.coding import LinearCode, is_solving, simulate, transfer_matrices
 from ldnc.errors import CodeBindingError
@@ -241,6 +244,29 @@ def test_propagation_equals_path_sum_on_random_instances():
         ln = random_layered_instance(rng, max_per_layer=3)
         code = random_code(ln, rng)
         assert transfer_matrices(ln, code).grid == path_sum_transfer(ln, code).grid
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 2**31 - 1]))
+@settings(derandomize=True, database=None, deadline=None, max_examples=80,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_simulate_transfer_and_path_sum_agree(seed, p):
+    # simulate on unit messages spells out the transfer grid: column block
+    # l of the reconstruction of message k is grid[l][k].  At p = 2**31 - 1
+    # sums of three or more products take the exact branch.
+    rng = random.Random(seed)
+    ln = random_layered_instance(
+        rng, p_choices=(p,), horizon_choices=(1, 2, 3), max_per_layer=3
+    )
+    code = random_code(ln, rng)
+    grid = transfer_matrices(ln, code).grid
+    assert grid == path_sum_transfer(ln, code).grid
+    lengths = [ln.message_length(s) for s in ln.base.sessions_sorted()]
+    cuts = np.cumsum([0, *lengths])
+    unit = np.eye(int(cuts[-1]), dtype=np.int64)
+    messages = [GfMatrix(ln.base.field, unit[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    for k, out in enumerate(simulate(ln, code, messages)):
+        for l, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            assert out.to_array()[:, lo:hi].tolist() == grid[l][k].to_rows()
 
 
 def test_is_solving_invariant_under_relay_relabeling():

@@ -19,8 +19,9 @@ from ldnc.fileformat import (
     serialize_messages,
     serialize_network,
 )
+from ldnc.gf_linalg import FieldModulus, identity
 from ldnc.layering import unfold
-from ldnc.network import detect_layers
+from ldnc.network import detect_layers, network
 
 from helpers import (
     random_code,
@@ -238,3 +239,22 @@ def test_vector_edge_cases_parse_alike():
         (f"W 1: [{2**64},{2**64 + 1}]\nW 2: [0,1]\n", True),
     ]:
         assert agree_on_messages(text, ln) is accepted, text
+
+
+def test_empty_decoder_edge_cases_parse_alike():
+    # [] is the 0 x q decoder of a width-0 session and nothing else
+    ln = detect_layers(network(2, 2, ["a", "b"], [("a", "b", identity(FieldModulus(2), 2))],
+                               [(1, "a", "b", 0)]))
+    for text, accepted in [
+        ("T: 1\nC 1: [[],[]]\nD 1: []\n", True),
+        ("T: 1\nC 1: [[],[]]\nD 1: [ \xa0\n ]\n", True),
+        ("T: 1\nC 1: [[],[]]\nD 1: [ # ] [\n]\n", True),
+        ("T: 1\nC 1: [[],[]]\nD 1: [[]]\n", False),  # 1 x 0, not 0 x 2
+        ("T: 1\nC 1: []\nD 1: []\n", False),  # an encoder has q rows
+        ("T: 1\nC 1: [[],[]]\nD 1: [,]\n", False),
+    ]:
+        assert agree_on_code(text, ln) is accepted, text
+    twounicast = detect_layers(parse_network(corpus.read("twounicast.net")))
+    text = corpus.read("twounicast.code").replace("D 1: [[1,0],[0,1]]", "D 1: []")
+    assert text != corpus.read("twounicast.code")
+    assert agree_on_code(text, twounicast) is False

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from ldnc import gf_linalg
 from ldnc.errors import ModulusMismatchError, ShapeMismatchError
 from ldnc.gf_linalg import (
     FieldModulus,
@@ -13,10 +15,13 @@ from ldnc.gf_linalg import (
     identity,
     is_kronecker_delta_identity,
     mat_rank,
+    matmul_mod,
     random_matrix,
     shift_matrix,
     zeros,
 )
+
+from helpers import record_exact_products
 
 GF2 = FieldModulus(2)
 GF3 = FieldModulus(3)
@@ -122,6 +127,99 @@ def test_mul_large_modulus_uses_exact_arithmetic():
     b = GfMatrix.from_rows(field, [[v]] * 8)
     expected = (8 * v * v) % field.p
     assert (a @ b)[0, 0] == expected
+
+
+# ---------------------------------------------------------------------------
+# matmul_mod, against explicit loops over Python integers
+# ---------------------------------------------------------------------------
+
+BIG_P = 2**31 - 1
+
+
+def loop_product(p, pairs):
+    """The sum of a @ b over 2-D pairs, mod p, by explicit Python-int loops."""
+    rows, cols = pairs[0][0].shape[0], pairs[0][1].shape[1]
+    out = [[0] * cols for _ in range(rows)]
+    for a, b in pairs:
+        a, b = a.tolist(), b.tolist()
+        for i in range(rows):
+            for j in range(cols):
+                out[i][j] += sum(a[i][t] * b[t][j] for t in range(len(b)))
+    return [[x % p for x in row] for row in out]
+
+
+def residues(rng, p, shape, worst=False):
+    """Random residues biased to 0, 1 and p-1; all p-1 when ``worst``."""
+    n = int(np.prod(shape))
+    picks = [p - 1 if worst else rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n)]
+    return np.array(picks, dtype=np.int64).reshape(shape)
+
+
+def needs_exact(p, inners):
+    return sum(inners) * (p - 1) ** 2 > 2**63 - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P])
+def test_matmul_mod_matches_python_integer_loops(p, monkeypatch):
+    # single products and multi-pair sums, on both sides of the int64
+    # bound at p = 2**31 - 1 (two inner terms fit, three do not), and on
+    # arrays past the small-array reduction
+    exact = record_exact_products(monkeypatch)
+    rng = random.Random(p)
+    cases = [(1,), (2,), (3,), (8,), (1, 1), (2, 1), (4, 0, 3), (0,)]
+    for inners in cases:
+        for worst in (False, True):
+            for rows, cols in ((1, 1), (3, 2), (20, 17)):
+                pairs = [
+                    (residues(rng, p, (rows, k), worst), residues(rng, p, (k, cols), worst))
+                    for k in inners
+                ]
+                exact.clear()
+                got = matmul_mod(p, *pairs)
+                assert got.dtype == np.int64 and got.shape == (rows, cols)
+                assert got.tolist() == loop_product(p, pairs), (inners, worst, rows, cols)
+                assert bool(exact) == needs_exact(p, inners)
+    assert needs_exact(BIG_P, (3,)) and not needs_exact(BIG_P, (2,))
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_P])
+def test_matmul_mod_broadcasts_stacks_against_shared_operands(p):
+    # each pair stacks its left operand, its right one, both or neither;
+    # entry i of the result takes entry i of every stacked operand
+    rng = random.Random(10 * p + 1)
+    batch, rows, cols = 4, 3, 2
+    layouts = list(itertools.product((False, True), repeat=2))
+    for inners in ((2,), (3,), (1, 2)):
+        for sides in itertools.product(layouts, repeat=len(inners)):
+            if not any(left or right for left, right in sides):
+                continue
+            pairs = [
+                (residues(rng, p, (batch,) * left + (rows, k)),
+                 residues(rng, p, (batch,) * right + (k, cols)))
+                for k, (left, right) in zip(inners, sides)
+            ]
+            got = matmul_mod(p, *pairs)
+            assert got.shape == (batch, rows, cols)
+            for i in range(batch):
+                plain = [(a[i] if a.ndim == 3 else a, b[i] if b.ndim == 3 else b) for a, b in pairs]
+                assert got[i].tolist() == loop_product(p, plain), (inners, sides, i)
+
+
+def test_matmul_mod_bound_is_inclusive(monkeypatch):
+    # at p = 2 the bound is the inner length itself: 2**63 - 1 still runs
+    # in int64 and one more term does not.  Zero-row int8 operands carry
+    # those inner lengths without storing an entry.
+    taken = []
+    monkeypatch.setattr(
+        gf_linalg, "_matmul_mod_exact", lambda p, pairs: taken.append(p) or np.zeros((0, 0))
+    )
+    limit = 2**63 - 1
+    wide = (np.zeros((0, limit), dtype=np.int8), np.zeros((limit, 0), dtype=np.int8))
+    one = (np.zeros((0, 1), dtype=np.int8), np.zeros((1, 0), dtype=np.int8))
+    assert matmul_mod(2, wide).shape == (0, 0)
+    assert taken == []
+    matmul_mod(2, wide, one)
+    assert taken == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from ldnc.network import detect_layers, network, reciprocal
 
 from helpers import (
     all_message_columns,
+    random_code,
     random_scheme,
     schemes_equal,
     triangle_network,
@@ -358,6 +359,53 @@ def test_project_round_trips_random_schemes_exactly():
             assert simulate_unlayered(n, back, msgs) == simulate(
                 lifted.network, lifted, msgs
             )
+
+
+BIG = FieldModulus(2**31 - 1)
+
+
+def big_cycle(q, rng):
+    """a -> b -> c -> a with random gains over GF(2**31 - 1); a sends to c."""
+    gains = [random_matrix(BIG, q, q, rng) for _ in range(3)]
+    edges = [(u, v, g) for (u, v), g in zip((("a", "b"), ("b", "c"), ("c", "a")), gains)]
+    return network(BIG.p, q, ["a", "b", "c"], edges, [(1, "a", "c", 1)])
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_lift_and_project_stay_exact_at_the_largest_modulus(q):
+    # every product sums q or more terms of up to (p-1)^2, past int64
+    rng = random.Random(2031 + q)
+    n = big_cycle(q, rng)
+    horizon = 3
+    msgs = [random_matrix(BIG, horizon, 2, rng)]
+    for _ in range(3):
+        scheme = random_scheme(n, horizon, rng)
+        lifted = lift_code(n, scheme)
+        assert simulate_unlayered(n, scheme, msgs) == simulate(lifted.network, lifted, msgs)
+        assert schemes_equal(n, project_code(lifted), scheme)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_projection_of_a_block_form_code_keeps_its_behavior_at_the_largest_modulus(q):
+    # a random code that leaves the reserved bottom band zero projects to
+    # a time-indexed scheme that runs exactly like the code
+    rng = random.Random(4031 + q)
+    n = big_cycle(q, rng)
+    horizon = 3
+    un = unfold(n, horizon)
+    msgs = [random_matrix(BIG, horizon, 2, rng)]
+    bottom = slice(q * (horizon + 1), None)
+    for _ in range(3):
+        code = random_code(un, rng)
+        blocked = {}
+        for name, mats in (("encoders", code.encoders), ("relays", code.relays)):
+            blocked[name] = {}
+            for key, m in mats.items():
+                arr = m.to_array().copy()
+                arr[bottom] = 0
+                blocked[name][key] = GfMatrix(BIG, arr)
+        code = LinearCode(network=un, decoders=code.decoders, **blocked)
+        assert simulate_unlayered(n, project_code(code), msgs) == simulate(un, code, msgs)
 
 
 def test_project_rejects_reserved_band_writes():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ldnc import reciprocity
 from ldnc.coding import LinearCode, is_solving, simulate, transfer_matrices
 from ldnc.errors import CodeBindingError, NonShiftGainError
 from ldnc.gf_linalg import (
@@ -210,6 +211,21 @@ def test_physical_code_on_corpus_shift_network():
     assert is_solving(phys.network, phys)
     msgs = all_message_tuples(rln)
     assert simulate(rln, rcode, msgs) == simulate(phys.network, phys, msgs)
+
+
+def test_physical_code_builds_the_reciprocal_once(monkeypatch):
+    ln = detect_layers(two_unicast_network())
+    rcode = transpose_code(ln, two_unicast_code(ln))
+    built = []
+
+    def counted(layered):
+        built.append(layered)
+        return reciprocal_layered(layered)
+
+    monkeypatch.setattr(reciprocity, "reciprocal_layered", counted)
+    phys = physical_code(ln, rcode)
+    assert built == [ln]
+    assert phys.network == physical_reverse(ln)
 
 
 def test_physical_code_rejects_non_shift_gains():

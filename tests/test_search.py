@@ -3,14 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from ldnc import search
-from ldnc.coding import _kernel_dtype, is_solving, transfer_matrices
+from ldnc import gf_linalg, search
+from ldnc.coding import is_solving, transfer_matrices
 from ldnc.gf_linalg import FieldModulus, GfMatrix, identity, zeros
 from ldnc.network import detect_layers, network, reciprocal_layered
 from ldnc.reciprocity import transpose_code
 from ldnc.search import (
-    _layout,
-    _scan_chunk,
     candidate_code,
     candidate_count,
     exhaustive_search,
@@ -18,7 +16,14 @@ from ldnc.search import (
     random_search,
 )
 
-from helpers import random_layered_instance, random_search_reference, two_unicast_network
+from helpers import (
+    random_layered_instance,
+    random_search_reference,
+    record_exact_products,
+    scan_chunk,
+    single_edge_identity,
+    two_unicast_network,
+)
 
 GF2 = FieldModulus(2)
 
@@ -189,19 +194,17 @@ def test_zero_budget_scans_nothing():
 
 def candidate_index(ln, code):
     """Inverse of candidate_code: the index whose digits spell the code."""
-    slots, _ = _layout(ln)
+    slots, _ = ln._code_layout
     blocks = {"C": code.encoders, "F": code.relays, "D": code.decoders}
     digits = [x for slot in slots for row in blocks[slot.kind][slot.key].to_rows() for x in row]
     p = ln.base.field.p
     return sum(d * p**k for k, d in enumerate(digits))
 
 
-def scan_mask(ln, start, count, chunk, dtype=None):
+def scan_mask(ln, start, count, chunk):
     """The batched verdicts of candidates start .. start+count-1, chunk by chunk."""
-    slots, total = _layout(ln)
-    dtype = _kernel_dtype(ln) if dtype is None else dtype
     return np.concatenate([
-        _scan_chunk(ln, slots, total, lo, min(chunk, start + count - lo), dtype)
+        scan_chunk(ln, lo, min(chunk, start + count - lo))
         for lo in range(start, start + count, chunk)
     ])
 
@@ -250,11 +253,16 @@ def test_scan_mask_equals_per_candidate_verdicts(p, q):
     assert hits > 0
 
 
-def test_object_and_int64_kernels_agree_on_a_gf3_chunk():
+def test_object_and_int64_kernels_agree_on_a_gf3_chunk(monkeypatch):
     ln = identity_edge(p=3, q=2, width=2)
     space = candidate_count(ln)
-    wide = scan_mask(ln, 0, space, space, dtype=object)
-    narrow = scan_mask(ln, 0, space, space, dtype=np.int64)
+    exact = record_exact_products(monkeypatch)
+    narrow = scan_mask(ln, 0, space, space)
+    assert not exact
+    # with no room below the bound, every product takes the exact branch
+    monkeypatch.setattr(gf_linalg, "_INT64_MAX", 0)
+    wide = scan_mask(ln, 0, space, space)
+    assert exact
     assert narrow.any()
     assert (wide == narrow).all()
 
@@ -350,19 +358,21 @@ def test_exhaustive_first_hit_on_full_two_unicast_space():
     assert is_solving(ln, result.code)
 
 
-def test_exhaustive_survives_huge_moduli():
-    # with q = 2 near the modulus cap, accumulated products leave the
-    # 64-bit range of the batched scan; the per-candidate fallback keeps
-    # the enumeration order and stays exact through the wide-integer path
-    from ldnc.search import _batched_sums_fit_int64
-
+def test_exhaustive_survives_huge_moduli(monkeypatch):
+    # with q = 3 near the modulus cap, a sum of three products of residues
+    # leaves the 64-bit range, so matmul_mod takes its exact branch; the
+    # enumeration order stays the same and the result stays exact
+    exact = record_exact_products(monkeypatch)
     big = 2**31 - 1
     ln = identity_edge(p=big, q=3, width=3)
-    assert not _batched_sums_fit_int64(ln)
     result = exhaustive_search(ln, budget=200)
     assert result.outcome == "budget-exceeded"
     assert result.scanned == 200
     # the identity code sits at a known index and verifies exactly
     index = sum(big**e for e in (0, 4, 8, 9, 13, 17))
     assert is_solving(ln, candidate_code(ln, index))
-    assert _batched_sums_fit_int64(identity_edge(p=big, q=2, width=2))
+    assert exact
+    # with q = 2 every sum of two products still fits int64
+    exact.clear()
+    assert is_solving(*single_edge_identity(p=big, q=2))
+    assert not exact

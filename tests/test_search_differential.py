@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 
 from ldnc import search
-from ldnc.coding import _kernel_dtype
 from ldnc.gf_linalg import FieldModulus, identity
 from ldnc.network import detect_layers, network, reciprocal_layered
-from ldnc.search import _CHUNK, _decoder_floor, _layout, candidate_count, exhaustive_search
+from ldnc.search import _CHUNK, _decoder_floor, candidate_count, exhaustive_search
 
-from helpers import exhaustive_search_reference, gf2_instance_family, random_layered_instance
+from helpers import (
+    exhaustive_search_reference,
+    gf2_instance_family,
+    random_layered_instance,
+    record_exact_products,
+)
 
 MAX_SPACE = 1 << 16
 
@@ -85,7 +89,7 @@ def test_decoder_solving_search_matches_full_candidate_scan():
         budgets = {0, 1, rng.randrange(space + 1), space}
         if first.outcome == "found":
             budgets |= {first.index, first.index + 1}
-        slots, total = _layout(ln)
+        slots, total = ln._code_layout
         pairs = ln.base.field.p ** sum(s.rows * s.cols for s in slots if s.kind != "D")
         chunks = (7, 64, _CHUNK) + ((1,) if pairs <= 256 else ())
         covered["chunk1"] += 1 in chunks
@@ -145,7 +149,7 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
             if q * sum(widths) > 9:
                 continue
             ln = width_network(p, q, widths)
-            slots, total = _layout(ln)
+            slots, total = ln._code_layout
             pairs_entries = total - q * sum(widths)
             want = None if max(widths) > q else brute_floor(p, q, widths)
             assert _decoder_floor(ln, slots, pairs_entries) == want, (q, widths)
@@ -161,7 +165,7 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
         raise AssertionError("propagated")
 
     ln = width_network(2, 2, (1, 1))
-    slots, total = _layout(ln)
+    slots, total = ln._code_layout
     pairs_entries = total - 2 * 2  # the decoders are two 1 x 2 matrices
     below = _decoder_floor(ln, slots, pairs_entries) * 2**pairs_entries
     wide = width_network(3, 1, (2,))
@@ -174,17 +178,21 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
         exhaustive_search(ln, budget=below + 1)
 
 
-def test_wide_integer_kernel_finds_the_first_hit():
-    # with q = 3 near the modulus cap the kernel runs on exact Python
-    # integers; every index below p**3 has a zero decoder, p**3 a zero
-    # encoder, and p**3 + 1 is the unit encoder with the unit decoder
+def test_wide_integer_kernel_finds_the_first_hit(monkeypatch):
+    # with q = 3 near the modulus cap the kernel's products take the exact
+    # branch of matmul_mod; every index below p**3 has a zero decoder,
+    # p**3 a zero encoder, and p**3 + 1 is the unit encoder with the unit
+    # decoder
+    exact = record_exact_products(monkeypatch)
     big = 2**31 - 1
     ln = width_network(big, 3, (1,))
-    assert _kernel_dtype(ln) is object
     pairs = big**3
     result = exhaustive_search(ln, budget=pairs + 2)
     assert (result.outcome, result.index, result.scanned) == ("found", pairs + 1, pairs + 2)
     assert result.code.encoders[1].to_rows() == [[1], [0], [0]]
     assert result.code.decoders[1].to_rows() == [[1, 0, 0]]
+    assert exact
+    exact.clear()
     result = exhaustive_search(ln, budget=pairs + 1, chunk_size=1)
     assert (result.outcome, result.scanned) == ("budget-exceeded", pairs + 1)
+    assert exact  # the scan alone, with no hit to re-verify
