@@ -22,7 +22,6 @@ from .errors import (
     CodeBindingError,
     InvalidNetworkError,
     LdncError,
-    NotLayeredError,
     ParseError,
 )
 from .fileformat import (
@@ -65,7 +64,7 @@ def _guard(fn):
         except (ParseError, InvalidNetworkError, CodeBindingError, OSError, ValueError) as exc:
             _echo(f"error: {exc}", err=True)
             sys.exit(2)
-        except (NotLayeredError, LdncError) as exc:
+        except LdncError as exc:
             _echo(f"error: {exc}", err=True)
             sys.exit(1)
 

@@ -169,11 +169,7 @@ def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
     for src_sess in sessions:
         width = ln.message_length(src_sess)
         # influence of message src_sess on each node's transmission
-        influence: dict[str, GfMatrix] = {}
-        for node in ln.nodes_at(0):
-            seeded = [s for s in ln.base.sessions_sourced_at(node) if s.id == src_sess.id]
-            if seeded:
-                influence[node] = code.encoders[src_sess.id]
+        influence = {src_sess.source: code.encoders[src_sess.id]}
         arrived: dict[str, GfMatrix] = {}
         for layer in range(1, ln.horizon + 1):
             arrived = {

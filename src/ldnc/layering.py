@@ -6,14 +6,17 @@ channel edge is repeated between consecutive layers with its gain
 embedded into a larger space, and identity "memory" edges carry a node's
 accumulated knowledge to its next copy.
 
-The enlarged transmission vector of a copy has three bands:
+The enlarged transmission vector of a copy is ``T+2`` blocks of ``q``
+rows, numbered 0..T+1:
 
-* top ``q`` rows -- the symbols the node actually sends at that instant,
-* a ``q*T`` state band -- received vectors stacked oldest-first, with the
-  not-yet-used slots holding the per-instant message contributions a
-  source still has to inject,
-* a reserved bottom ``q`` band that stays zero on transmit; the embedded
-  channel gains deliver the fresh superposition into it on receive.
+* block 0, the top band -- the symbols the node actually sends at that
+  instant,
+* blocks 1..T, the state band -- block m holds a source's contribution
+  for instant m until layer m consumes it; from then on it is history
+  slot m-1, so received vector ``y[h]`` sits in block h+1,
+* block T+1, the bottom band -- reserved: it stays zero on transmit, and
+  the embedded channel gains deliver the fresh superposition into it on
+  receive.
 
 :func:`lift_code` turns any time-indexed linear scheme into a layered
 code on the unfolded network with identical end-to-end behavior, and
@@ -60,13 +63,14 @@ def message_block_width(n: Network, horizon: int, node: str) -> int:
     return sum(s.width * horizon for s in n.sessions_sourced_at(node))
 
 
-def _message_offsets(n: Network, horizon: int, node: str) -> dict[int, int]:
-    offsets = {}
+def _message_columns(n: Network, horizon: int, node: str) -> dict[int, slice]:
+    """Columns of each session's message in ``node``'s own message block."""
+    columns = {}
     pos = 0
     for s in n.sessions_sourced_at(node):
-        offsets[s.id] = pos
+        columns[s.id] = slice(pos, pos + s.width * horizon)
         pos += s.width * horizon
-    return offsets
+    return columns
 
 
 def validate_scheme(n: Network, scheme: UnlayeredLinearScheme) -> None:
@@ -176,16 +180,9 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _top_rows(q: int) -> slice:
-    return slice(0, q)
-
-
-def _state_rows(q: int, slot: int) -> slice:
-    return slice(q * (slot + 1), q * (slot + 2))
-
-
-def _bottom_rows(q: int, horizon: int) -> slice:
-    return slice(q * (horizon + 1), q * (horizon + 2))
+def _block(q: int, b: int) -> slice:
+    """Rows of band block ``b``: 0 is the top band, T+1 the bottom band."""
+    return slice(q * b, q * (b + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +193,12 @@ def _bottom_rows(q: int, horizon: int) -> slice:
 def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     """Layered code on ``unfold(n, scheme.horizon)`` equivalent to the scheme.
 
-    Each relay restacks its node's knowledge: the fresh bottom band is
-    appended into the state band, the pending message contribution for
-    this instant is consumed, and the scheme's encoder for the matching
-    time instant produces the new top band.  Source encoders place both
-    the instant-0 transmission and every pending later contribution;
-    decoders read the completed history out of the state and bottom bands.
+    Source encoders put the contribution for instant m into block m.  The
+    relay at layer m restacks its node's knowledge: block m, whose pending
+    contribution its top band consumes, is refilled from the fresh bottom
+    band, and the scheme's encoder for instant m produces the new top
+    band.  Decoders read the completed history out of the state and
+    bottom bands.
     """
     validate_scheme(n, scheme)
     horizon = scheme.horizon
@@ -209,61 +206,43 @@ def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     big = q * (horizon + 2)
     fm = n.field
     un = unfold(n, horizon)
-    top = _top_rows(q)
-    bottom = _bottom_rows(q, horizon)
-
-    def encoder_slice(node: str, instant: int, cols: slice) -> np.ndarray | None:
-        enc = scheme.node_encoders.get((node, instant))
-        if enc is None:
-            return None
-        return enc.to_array()[:, cols]
+    top = _block(q, 0)
+    bottom = _block(q, horizon + 1)
+    eye = np.eye(q, dtype=np.int64)
 
     encoders = {}
     for s in n.sessions_sorted():
-        src = s.source
-        mlen = s.width * horizon
-        off = _message_offsets(n, horizon, src)[s.id]
-        cols = slice(off, off + mlen)
-        arr = np.zeros((big, mlen), dtype=np.int64)
-        first = encoder_slice(src, 0, cols)
-        if first is not None:
-            arr[top] = first
-        for instant in range(1, horizon):
-            pending = encoder_slice(src, instant, cols)
-            if pending is not None:
-                arr[_state_rows(q, instant - 1)] = pending
+        cols = _message_columns(n, horizon, s.source)[s.id]
+        arr = np.zeros((big, s.width * horizon), dtype=np.int64)
+        for instant in range(horizon):
+            enc = scheme.node_encoders.get((s.source, instant))
+            if enc is not None:
+                arr[_block(q, instant)] = enc.to_array()[:, cols]
         encoders[s.id] = GfMatrix(fm, arr)
 
     relays = {}
-    for v in n.nodes:
-        width = message_block_width(n, horizon, v)
-        for layer in range(1, horizon):
-            arr = np.zeros((big, big), dtype=np.int64)
-            # restack: keep old history, append the fresh receive band
-            for slot in range(horizon):
-                src_rows = bottom if slot == layer - 1 else _state_rows(q, slot)
-                arr[_state_rows(q, slot), src_rows] = np.eye(q, dtype=np.int64)
-            # consume the pending message contribution for this instant
-            if width:
-                arr[top, _state_rows(q, layer - 1)] = np.eye(q, dtype=np.int64)
+    widths = {v: message_block_width(n, horizon, v) for v in n.nodes}
+    for layer in range(1, horizon):
+        restack = np.zeros((big, big), dtype=np.int64)
+        for b in range(1, horizon + 1):
+            restack[_block(q, b), bottom if b == layer else _block(q, b)] = eye
+        for v in n.nodes:
+            arr = restack.copy()
+            if widths[v]:
+                arr[top, _block(q, layer)] = eye
             enc = scheme.node_encoders.get((v, layer))
             if enc is not None:
-                hist = enc.to_array()[:, width:]
-                for h in range(layer):
-                    block = hist[:, h * q:(h + 1) * q]
-                    cols = bottom if h == layer - 1 else _state_rows(q, h)
-                    arr[top, cols] = (arr[top, cols] + block) % fm.p
+                hist = enc.to_array()[:, widths[v]:]
+                arr[top, q:q * layer] = hist[:, :q * (layer - 1)]
+                arr[top, bottom] = hist[:, q * (layer - 1):]
             relays[stage_name(v, layer)] = GfMatrix(fm, arr)
 
     decoders = {}
     for s in n.sessions_sorted():
         dec = scheme.decoders[s.id].to_array()
-        mlen = s.width * horizon
-        arr = np.zeros((mlen, big), dtype=np.int64)
-        for instant in range(horizon):
-            block = dec[:, instant * q:(instant + 1) * q]
-            cols = bottom if instant == horizon - 1 else _state_rows(q, instant)
-            arr[:, cols] = block
+        arr = np.zeros((s.width * horizon, big), dtype=np.int64)
+        arr[:, q:q * horizon] = dec[:, :q * (horizon - 1)]
+        arr[:, bottom] = dec[:, q * (horizon - 1):]
         decoders[s.id] = GfMatrix(fm, arr)
 
     return LinearCode(network=un, encoders=encoders, decoders=decoders, relays=relays)
@@ -294,7 +273,8 @@ def project_code(code: LinearCode) -> UnlayeredLinearScheme:
     q = n.q
     big = q * (horizon + 2)
     fm = n.field
-    bottom = _bottom_rows(q, horizon)
+    top = _block(q, 0)
+    bottom = _block(q, horizon + 1)
 
     for sid, enc in code.encoders.items():
         if enc.to_array()[bottom].any():
@@ -306,41 +286,29 @@ def project_code(code: LinearCode) -> UnlayeredLinearScheme:
     # dependence[v]: columns are [v's own messages, y_v[0], .., y_v[m-1]]
     dependence: dict[str, np.ndarray] = {}
     for v in n.nodes:
-        width = message_block_width(n, horizon, v)
-        arr = np.zeros((big, width), dtype=np.int64)
-        for s in n.sessions_sourced_at(v):
-            off = _message_offsets(n, horizon, v)[s.id]
-            mlen = s.width * horizon
-            arr[:, off:off + mlen] = code.encoders[s.id].to_array()
+        arr = np.zeros((big, message_block_width(n, horizon, v)), dtype=np.int64)
+        for sid, cols in _message_columns(n, horizon, v).items():
+            arr[:, cols] = code.encoders[sid].to_array()
         dependence[v] = arr
+    # a receive appends the fresh bottom band as the newest history column block
+    fresh = np.zeros((big, q), dtype=np.int64)
+    fresh[bottom] = np.eye(q, dtype=np.int64)
 
     node_encoders: dict[tuple[str, int], GfMatrix] = {}
-    for v in n.nodes:
-        enc0 = GfMatrix(fm, dependence[v][_top_rows(q)].copy())
-        if not enc0.is_zero():
-            node_encoders[(v, 0)] = enc0
-
-    for layer in range(1, horizon + 1):
+    for layer in range(horizon):
         for v in n.nodes:
-            prev = dependence[v]
-            received = np.zeros((big, prev.shape[1] + q), dtype=np.int64)
-            received[:, : prev.shape[1]] = prev
-            received[bottom, prev.shape[1]:] = np.eye(q, dtype=np.int64)
-            if layer < horizon:
+            if layer:
                 relay = code.relays[stage_name(v, layer)].to_array()
-                current = matmul_mod(fm.p, (relay, received))
-                dependence[v] = current
-                enc = GfMatrix(fm, current[_top_rows(q)].copy())
-                if not enc.is_zero():
-                    node_encoders[(v, layer)] = enc
-            else:
-                dependence[v] = received
+                dependence[v] = matmul_mod(fm.p, (relay, np.hstack([dependence[v], fresh])))
+            enc = GfMatrix(fm, dependence[v][top].copy())
+            if not enc.is_zero():
+                node_encoders[(v, layer)] = enc
 
     decoders = {}
     for s in n.sessions_sorted():
-        dest = s.destination
-        width = message_block_width(n, horizon, dest)
-        full = matmul_mod(fm.p, (code.decoders[s.id].to_array(), dependence[dest]))
+        width = message_block_width(n, horizon, s.destination)
+        received = np.hstack([dependence[s.destination], fresh])
+        full = matmul_mod(fm.p, (code.decoders[s.id].to_array(), received))
         if full[:, :width].any():
             raise BlockFormError(
                 f"decoder {s.id} depends on messages sourced at the destination"
@@ -388,11 +356,9 @@ def simulate_unlayered(
 
     own_messages = {}
     for v in n.nodes:
-        width = message_block_width(n, horizon, v)
-        arr = np.zeros((width, ncols), dtype=np.int64)
-        for s in n.sessions_sourced_at(v):
-            off = _message_offsets(n, horizon, v)[s.id]
-            arr[off:off + s.width * horizon] = by_id[s.id]
+        arr = np.zeros((message_block_width(n, horizon, v), ncols), dtype=np.int64)
+        for sid, rows in _message_columns(n, horizon, v).items():
+            arr[rows] = by_id[sid]
         own_messages[v] = arr
 
     history: dict[str, list[np.ndarray]] = {v: [] for v in n.nodes}

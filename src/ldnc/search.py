@@ -99,11 +99,7 @@ def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
     slots, total = ln._code_layout
     if not 0 <= index < ln.base.field.p ** total:
         raise ValueError(f"candidate index {index} out of range")
-    p = ln.base.field.p
-    entries = []
-    for _ in range(total):
-        entries.append(index % p)
-        index //= p
+    entries = _candidate_digits(index, 1, total, ln.base.field.p)[:, 0]
     return _code_from_entries(ln, slots, entries)
 
 

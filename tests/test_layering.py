@@ -506,6 +506,35 @@ def test_unfold_serialization_is_frozen():
     assert h.hexdigest() == "7aab6dae3a94a059d93700730f7100b6ed262e249ab1feb5280984dcdc189fd7"
 
 
+def test_lift_and_project_output_is_frozen():
+    # digest of lifted codes and projected schemes as built before the band
+    # bookkeeping was rewritten; the rewrite must keep them byte-identical
+    import hashlib
+
+    from ldnc.fileformat import matrix_literal, serialize_code
+
+    from helpers import three_node_unfolding_family
+
+    cases = list(three_node_unfolding_family())[::3]
+    cases += [
+        (triangle_network(p, q), horizon)
+        for p in (2, 3) for q in (1, 2, 3) for horizon in (1, 2, 3, 4)
+    ]
+    rng = random.Random(7207)
+    h = hashlib.sha256()
+    for n, horizon in cases:
+        for density in (1.0, 0.5):
+            lifted = lift_code(n, random_scheme(n, horizon, rng, density))
+            h.update(serialize_code(lifted).encode())
+            back = project_code(lifted)
+            for key, m in sorted(back.node_encoders.items()):
+                h.update(f"E {key} {matrix_literal(m)}\n".encode())
+            for sid, m in sorted(back.decoders.items()):
+                h.update(f"D {sid} {matrix_literal(m)}\n".encode())
+    assert len(cases) == 131
+    assert h.hexdigest() == "4162e4fdc54dfe5b550b5b7fcd158321f650f89fcb66130464db132a9dad194f"
+
+
 def test_unfold_refuses_gains_over_the_dense_limit_before_allocating():
     import time
 

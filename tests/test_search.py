@@ -67,6 +67,25 @@ def test_candidate_code_digit_order():
         candidate_code(ln, 4)
 
 
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_candidate_digits_spell_the_base_p_index(p):
+    # 72 free entries put the last indices past 2**63 even at p = 2
+    ln = identity_edge(p=p, q=6, width=6)
+    total = free_entry_count(ln)
+    space = candidate_count(ln)
+    assert space > 2**64
+    rng = random.Random(p)
+    indices = [0, 1, 2**63 - 1, 2**63, 2**64 + 1, space - 1]
+    indices += [rng.randrange(space) for _ in range(20)]
+    for index in indices:
+        expected, rest = [], index
+        for _ in range(total):
+            rest, digit = divmod(rest, p)
+            expected.append(digit)
+        assert search._candidate_digits(index, 1, total, p)[:, 0].tolist() == expected
+        assert candidate_index(ln, candidate_code(ln, index)) == index
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 # ---------------------------------------------------------------------------
