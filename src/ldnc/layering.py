@@ -79,13 +79,13 @@ def validate_scheme(n: Network, scheme: UnlayeredLinearScheme) -> None:
     if horizon < 1:
         raise SchemeShapeError(f"horizon must be >= 1, got {horizon}")
     q = n.q
-    node_set = set(n.nodes)
+    widths = {v: message_block_width(n, horizon, v) for v in n.nodes}
     for (node, m), enc in scheme.node_encoders.items():
-        if node not in node_set:
+        if node not in widths:
             raise SchemeShapeError(f"encoder for unknown node {node!r}")
         if not 0 <= m < horizon:
             raise SchemeShapeError(f"encoder time {m} outside 0..{horizon - 1}")
-        want = (q, message_block_width(n, horizon, node) + q * m)
+        want = (q, widths[node] + q * m)
         if enc.shape != want:
             raise SchemeShapeError(
                 f"encoder ({node!r}, {m}) has shape {enc.shape}, expected {want}"
@@ -198,12 +198,20 @@ def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     contribution its top band consumes, is refilled from the fresh bottom
     band, and the scheme's encoder for instant m produces the new top
     band.  Decoders read the completed history out of the state and
-    bottom bands.
+    bottom bands.  The ``|V| * (horizon - 1)`` relays take ``big**2``
+    int64 entries each; ``ValueError`` is raised before anything is built
+    when they exceed ``MAX_DENSE_BYTES``.
     """
     validate_scheme(n, scheme)
     horizon = scheme.horizon
     q = n.q
     big = q * (horizon + 2)
+    relay_bytes = len(n.nodes) * (horizon - 1) * big * big * 8
+    if relay_bytes > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"lifting over {horizon} instants needs {relay_bytes} bytes of relays, "
+            f"more than {MAX_DENSE_BYTES}"
+        )
     fm = n.field
     un = unfold(n, horizon)
     top = _block(q, 0)

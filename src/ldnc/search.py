@@ -19,14 +19,15 @@ solvable pairs.  A solving D_k has full row rank, so no index below
 ``floor * p**m`` can solve, where ``floor`` is the lowest decoder index
 with every D_k of full rank: a budget at or below that bound is decided
 without propagating anything, and the scan of pairs stops as soon as no
-later pair can beat the best index found.  Pairs are decoded from their
-indices into one (entries, batch) int64 digit array and pushed through
-the network by the one propagation kernel of :mod:`ldnc.coding`, all
-sessions at once as the column blocks of one transmission.
+later pair can beat the best index found.
 
-:func:`random_search` feeds its sampled trials, decoders included, to
-the same kernel in batches of 1, 2, 4, ... candidates and checks each
-transfer grid entry only on the candidates that passed the earlier ones.
+Both searches lay a batch out the same way: candidates become one
+(entries, batch) int64 digit array, and every session is pushed through
+the one propagation kernel of :mod:`ldnc.coding` at once, as the column
+block of its message in one shared transmission.  :func:`random_search`
+sends its sampled trials, decoders included, in batches of 1, 2, 4, ...
+candidates and checks the drawn D_k . Y_k = E_k destination by
+destination, only on the candidates that passed the earlier ones.
 Every product, in the kernel and in the decoder checks, is one
 :func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
 fits it, Python integers otherwise, so the search is exact for every
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -79,19 +81,14 @@ def candidate_count(ln: LayeredNetwork) -> int:
 
 def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
     fm = ln.base.field
-    encoders, decoders, relays = {}, {}, {}
-    for slot in slots:
-        block = np.array(
-            entries[slot.offset:slot.offset + slot.rows * slot.cols], dtype=np.int64
-        ).reshape(slot.rows, slot.cols)
-        mat = GfMatrix(fm, block)
-        if slot.kind == "C":
-            encoders[slot.key] = mat
-        elif slot.kind == "D":
-            decoders[slot.key] = mat
-        else:
-            relays[slot.key] = mat
-    return LinearCode(network=ln, encoders=encoders, decoders=decoders, relays=relays)
+    # a copy, so that no returned matrix keeps a whole batch alive
+    digits = np.array(entries, dtype=np.int64)[:, np.newaxis]
+    blocks: dict[str, dict] = {"C": {}, "D": {}, "F": {}}
+    for (kind, key), stack in _stacks(slots, digits).items():
+        blocks[kind][key] = GfMatrix(fm, stack[0])
+    return LinearCode(
+        network=ln, encoders=blocks["C"], decoders=blocks["D"], relays=blocks["F"]
+    )
 
 
 def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
@@ -147,42 +144,45 @@ def _stacks(slots, digits: np.ndarray) -> dict[tuple[str, object], np.ndarray]:
     }
 
 
+def _arrivals(ln: LayeredNetwork, mats, count: int):
+    """Yield (session, Y_k, E_k) for every session of nonzero width, in id order.
+
+    Session k's encoder fills columns lo..hi of its source's transmission,
+    so one propagation of the batch gives destination k the arrival
+    Y_k = [Y_k1 ... Y_kn] (None when nothing reaches it), and a decoder
+    D_k solves exactly when D_k . Y_k = E_k, the identity in columns
+    lo..hi and zero elsewhere.  A 0 x q decoder has nothing to decode.
+    """
+    q = ln.base.q
+    sessions = ln.base.sessions_sorted()
+    cuts = list(accumulate((ln.message_length(s) for s in sessions), initial=0))
+    width = cuts[-1]
+    sent = {s.source: np.zeros((count, q, width), dtype=np.int64) for s in sessions}
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        sent[s.source][:, :, lo:hi] = mats[("C", s.id)]
+    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()})
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        if hi > lo:
+            yield s, arrived.get(s.destination), np.eye(hi - lo, width, lo, dtype=np.int64)
+
+
 def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
     """Boolean solving mask of a batch of candidates given as (entries, batch) digits.
 
-    Each check of the transfer grid runs only on the candidates that passed
-    every earlier one; a session's own (identity) entry is checked first,
-    since it rejects the most.
+    The batch is propagated once through :func:`_arrivals`; destination by
+    destination, the drawn D_k . Y_k = E_k is then checked only on the
+    candidates that passed every earlier destination.
     """
     p = ln.base.field.p
     count = digits.shape[1]
     mats = _stacks(slots, digits)
-    sessions = ln.base.sessions_sorted()
     alive = np.arange(count)
-    for sl in sessions:
-        wl = ln.message_length(sl)
-        sent = {sl.source: _take(mats[("C", sl.id)], alive)}
-        relays = {v: _take(mats[("F", v)], alive) for v in ln.relay_nodes()}
-        arrived = _propagate(ln, sent, relays)
-        passed = np.arange(alive.size)
-        for sk in (sl, *(s for s in sessions if s is not sl)):
-            wk = ln.message_length(sk)
-            if sk is sl:
-                target = np.eye(wk, wl, dtype=np.int64)
-            else:
-                target = np.zeros((wk, wl), dtype=np.int64)
-            y = arrived.get(sk.destination)
-            if y is None:
-                if target.any():
-                    passed = passed[:0]
-            else:
-                gamma = matmul_mod(
-                    p, (_take(mats[("D", sk.id)], alive[passed]), _take(y, passed))
-                )
-                passed = passed[(gamma == target).all(axis=(1, 2))]
-            if not passed.size:
-                break
-        alive = alive[passed]
+    for s, y, target in _arrivals(ln, mats, count):
+        if y is None:
+            alive = alive[:0]
+            break
+        gamma = matmul_mod(p, (_take(mats[("D", s.id)], alive), _take(y, alive)))
+        alive = alive[(gamma == target).all(axis=(1, 2))]
         if not alive.size:
             break
     ok = np.zeros(count, dtype=bool)
@@ -227,34 +227,18 @@ def _pairs_per_batch(ln: LayeredNetwork, total_entries: int) -> int:
 def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
     """(d, cf) of the lowest solving index among pairs start .. start+count-1.
 
-    Every session is pushed through the network as one column block of a
-    shared transmission, so destination k receives Y_k = [Y_k1 ... Y_kn]
-    for the whole batch at once; the lowest D_k solving D_k . Y_k = E_k is
-    then found by batched elimination, session by session, on the pairs
-    still solvable.  Returns None when no pair in the batch can solve.
+    On the batch's arrivals from :func:`_arrivals`, the lowest D_k solving
+    D_k . Y_k = E_k is found by batched elimination, session by session,
+    on the pairs still solvable.  Returns None when no pair can solve.
     """
     p = ln.base.field.p
-    q = ln.base.q
     digits = _candidate_digits(start, count, pairs_entries, p)
     mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
-    sessions = ln.base.sessions_sorted()
-    cuts = np.cumsum([0, *(ln.message_length(s) for s in sessions)])
-    width = int(cuts[-1])
-    sent: dict[str, np.ndarray] = {}
-    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        block = sent.setdefault(s.source, np.zeros((count, q, width), dtype=np.int64))
-        block[:, :, lo:hi] = mats[("C", s.id)]
-    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()})
     alive = np.arange(count)
     solutions: list[np.ndarray] = []
-    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        if hi == lo:
-            continue  # a 0 x q decoder has no digits and nothing to decode
-        y = arrived.get(s.destination)
+    for _, y, target in _arrivals(ln, mats, count):
         if y is None:
             return None
-        target = np.zeros((hi - lo, width), dtype=np.int64)
-        target[:, lo:hi] = np.eye(hi - lo, dtype=np.int64)
         ok, x = lowest_solutions(_take(y, alive), target, p)
         alive = alive[ok]
         if not alive.size:
@@ -339,7 +323,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
         hits = np.flatnonzero(_solving_mask(ln, slots, digits))
         if hits.size:
             trial = drawn + int(hits[0]) + 1
-            code = _code_from_entries(ln, slots, digits[:, hits[0]].tolist())
+            code = _code_from_entries(ln, slots, digits[:, hits[0]])
             return SearchResult("found", _verified(ln, code, f"trial {trial}"), trial, trial)
         drawn += count
         size = min(2 * size, _CHUNK)

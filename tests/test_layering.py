@@ -550,3 +550,27 @@ def test_unfold_refuses_gains_over_the_dense_limit_before_allocating():
         with pytest.raises(ValueError, match="bytes"):
             unfold(n, t)
     assert time.perf_counter() - start < 1.0
+
+
+def test_lift_code_refuses_relays_over_the_dense_limit_before_allocating():
+    import tracemalloc
+
+    from ldnc.gf_linalg import MAX_DENSE_BYTES
+
+    p, q, horizon = 2, 64, 2
+    fm = FieldModulus(p)
+    nodes = [f"v{i}" for i in range(600)]
+    n = network(p, q, nodes, [("v0", "v1", identity(fm, q))], [(1, "v0", "v1", 1)])
+    # two gains of q(T+2) squared int64 entries fit; |V|(T-1) = 600 relays do not
+    assert unfold(n, horizon).base.q == q * (horizon + 2)
+    scheme = UnlayeredLinearScheme(
+        horizon=horizon, node_encoders={}, decoders={1: zeros(fm, horizon, q * horizon)}
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes of relays"):
+            lift_code(n, scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MAX_DENSE_BYTES // 64

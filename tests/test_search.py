@@ -40,6 +40,32 @@ def zero_edge(p=2):
     return detect_layers(n)
 
 
+def shared_source(p, q):
+    # sessions 1 and 3 share source a; session 2, of width 0, sits beside them
+    fm = FieldModulus(p)
+    n = network(
+        p, q, ["a", "b", "c"], [("a", "b", identity(fm, q)), ("a", "c", identity(fm, q))],
+        [(1, "a", "b", 1), (2, "a", "c", 0), (3, "a", "c", 1)],
+    )
+    return detect_layers(n)
+
+
+def unreachable_destination(p, q):
+    # session 2's destination d hears only b, which sources nothing
+    fm = FieldModulus(p)
+    n = network(
+        p, q, ["a", "b", "c", "d"], [("a", "c", identity(fm, q)), ("b", "d", identity(fm, q))],
+        [(1, "a", "c", 1), (2, "a", "d", 1)],
+    )
+    return detect_layers(n)
+
+
+def layout_edge_cases(p, q):
+    """A width-0 session beside others, a width-2 session, two sessions
+    sharing a source and a destination no source reaches."""
+    return [shared_source(p, q), identity_edge(p, q, width=2), unreachable_destination(p, q)]
+
+
 # ---------------------------------------------------------------------------
 # enumeration contract
 # ---------------------------------------------------------------------------
@@ -245,13 +271,21 @@ def test_scan_mask_equals_per_candidate_verdicts(p, q):
     # centred on a solving code where random sampling finds one; chunks of
     # 7 and 64 divide neither
     rng = random.Random(1000 * p + q)
+    edge_cases = layout_edge_cases(p, q)
+
+    def instances():
+        for n_sessions in (1, 2, 3):
+            for _ in range(20):
+                ln = instance_with_sessions(rng, p, q, n_sessions)
+                found = random_search(ln, trials=300, seed=rng.randrange(1000))
+                if found.code:
+                    break
+            yield ln, found
+        for ln in edge_cases:
+            yield ln, random_search(ln, trials=300, seed=rng.randrange(1000))
+
     hits = 0
-    for n_sessions in (1, 2, 3):
-        for _ in range(20):
-            ln = instance_with_sessions(rng, p, q, n_sessions)
-            found = random_search(ln, trials=300, seed=rng.randrange(1000))
-            if found.code:
-                break
+    for ln, found in instances():
         space = candidate_count(ln)
         if space <= 300:
             start, count = 0, space
@@ -263,6 +297,8 @@ def test_scan_mask_equals_per_candidate_verdicts(p, q):
         )
         for chunk in (7, 64):
             assert (scan_mask(ln, start, count, chunk) == expected).all()
+        if ln is edge_cases[-1]:  # no source reaches session 2's destination
+            assert not expected.any()
         hits += int(expected.sum())
         if count == space:
             first = np.flatnonzero(expected)
@@ -314,6 +350,8 @@ def test_random_search_matches_per_trial_reference():
         )
         if random_search(ln, trials=400, seed=1).outcome == "found":
             instances.append(ln)
+    edge_cases = layout_edge_cases(2, 2)
+    instances += edge_cases
     late_hits = 0
     for ln in instances:
         for seed in (0, 1, 2, 3):
@@ -324,6 +362,7 @@ def test_random_search_matches_per_trial_reference():
                     want.outcome, want.index, want.scanned
                 )
                 assert got.code == want.code
+                assert ln is not edge_cases[-1] or got.outcome == "not-found"
                 late_hits += got.outcome == "found" and got.index > 8
     assert late_hits > 0
 
