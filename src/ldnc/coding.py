@@ -9,12 +9,12 @@ maps; :func:`simulate` runs the same network on concrete message vectors;
 exactly.
 
 :func:`simulate` and the code search share one batched propagation
-kernel, :func:`_propagate`, over stacked int64 residue arrays; the
-``GfMatrix`` propagation of :func:`transfer_matrices` stays separate so
-that it can independently re-verify what the kernel finds.  Both take
-every product from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in
-int64 when the unreduced sum fits it and on Python integers otherwise,
-so every result is exact for every modulus.
+kernel, :func:`_propagate`; :func:`transfer_matrices` keeps its own
+per-session walk, independent of it, so that it can re-verify what the
+kernel finds.  Both run on int64 residue arrays and take every product
+from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in int64 when the
+unreduced sum fits it and on Python integers otherwise, so every result
+is exact for every modulus.
 
 Propagation is linear in the number of edges.  Summing gain/encoder
 products over every source-destination path gives the same grid; that
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CodeBindingError
-from .gf_linalg import GfMatrix, is_kronecker_delta_identity, matmul_mod, zeros
+from .gf_linalg import GfMatrix, is_kronecker_delta_identity, matmul_mod
 from .network import LayeredNetwork, Session
 
 
@@ -110,16 +110,6 @@ def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
             raise CodeBindingError(f"relay {node!r} uses a foreign modulus")
 
 
-def _received(ln: LayeredNetwork, transmitted: dict[str, GfMatrix], node: str, width: int) -> GfMatrix:
-    """Sum of gain-weighted inputs; all-zero when nothing arrives."""
-    q = ln.base.q
-    acc = zeros(ln.base.field, q, width)
-    for e in ln.base.in_edges(node):
-        if e.src in transmitted:
-            acc = acc + (e.gain @ transmitted[e.src])
-    return acc
-
-
 def _propagate(
     ln: LayeredNetwork,
     sent: Mapping[str, np.ndarray],
@@ -156,36 +146,39 @@ def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
     """Grid of end-to-end transfer matrices, one per session pair.
 
     Influence matrices of each message are pushed through the layers:
-    session encoders seed layer 0, each edge applies its gain, relays
-    apply their matrix, and decoders read off the grid at the final
-    layer.  Pairs with no connecting path come out all-zero.
+    session encoders seed layer 0, each node sums its gain-weighted
+    inputs, relays apply their matrix, and decoders read off the grid at
+    the final layer.  Pairs with no connecting path come out all-zero.
     """
     validate_code(ln, code)
     sessions = ln.base.sessions_sorted()
     fm = ln.base.field
-    q = ln.base.q
+    p = fm.p
 
     grid_rows: list[tuple[GfMatrix, ...]] = []
     for src_sess in sessions:
-        width = ln.message_length(src_sess)
-        # influence of message src_sess on each node's transmission
-        influence = {src_sess.source: code.encoders[src_sess.id]}
-        arrived: dict[str, GfMatrix] = {}
+        # influence of message src_sess on each node's transmission, and on
+        # each final-layer node's arrival once the walk is done
+        influence = {src_sess.source: code.encoders[src_sess.id].to_array()}
         for layer in range(1, ln.horizon + 1):
-            arrived = {
-                node: _received(ln, influence, node, width)
-                for node in ln.nodes_at(layer)
-            }
-            if layer < ln.horizon:
-                influence = {
-                    node: code.relays[node] @ arrived[node] for node in arrived
-                }
+            sent, influence = influence, {}
+            for node in ln.nodes_at(layer):
+                pairs = [
+                    (e.gain.to_array(), sent[e.src])
+                    for e in ln.base.in_edges(node)
+                    if e.src in sent
+                ]
+                if pairs:
+                    y = matmul_mod(p, *pairs)
+                    if layer < ln.horizon:
+                        y = matmul_mod(p, (code.relays[node].to_array(), y))
+                    influence[node] = y
+        # a destination nothing reaches decodes a zero arrival
+        nothing = np.zeros((ln.base.q, ln.message_length(src_sess)), dtype=np.int64)
         row = []
         for dst_sess in sessions:
-            y = arrived.get(dst_sess.destination)
-            if y is None:
-                y = zeros(fm, q, width)
-            row.append(code.decoders[dst_sess.id] @ y)
+            y = influence.get(dst_sess.destination, nothing)
+            row.append(GfMatrix(fm, matmul_mod(p, (code.decoders[dst_sess.id].to_array(), y))))
         grid_rows.append(tuple(row))
     return TransferMap(sessions=sessions, grid=tuple(grid_rows))
 

@@ -20,7 +20,7 @@ Any run of Unicode whitespace may separate two symbols, and none may
 split an INT or an ID.  Each matrix or vector literal is one token whose
 entries are read with one numpy call.  A shift gain is built as a dense
 q x q matrix, so a file whose shift gains would take more than
-``_MAX_SHIFT_BYTES`` is rejected before they are built.  README "File
+``MAX_DENSE_BYTES`` is rejected before they are built.  README "File
 formats" has examples.  Serialization is canonical: nodes sorted, edges
 sorted by endpoint pair, sessions by id, and every gain that equals a
 shift matrix printed as ``shift g=<strength>``, so parse/print round
@@ -43,7 +43,6 @@ _RESERVED = {
     "T", "C", "D", "F", "W",
 }
 _SECTION_KEYWORDS = {"p", "q", "nodes", "edges", "sessions"}
-_MAX_SHIFT_BYTES = MAX_DENSE_BYTES
 
 _COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 # Group 1 is a token; a literal with brackets balanced two deep is one
@@ -159,8 +158,8 @@ def parse_network(text: str) -> Network:
         if q < 1 or not 0 <= strength <= q:
             raise ParseError(f"shift strength {strength} outside 0..{q}, or q < 1")
         shift_bytes += 8 * q * q
-        if shift_bytes > _MAX_SHIFT_BYTES:
-            raise ParseError(f"shift gains of size {q}x{q} exceed {_MAX_SHIFT_BYTES} bytes")
+        if shift_bytes > MAX_DENSE_BYTES:
+            raise ParseError(f"shift gains of size {q}x{q} exceed {MAX_DENSE_BYTES} bytes")
         return shift_matrix(field, q, strength)
 
     while ts.peek() is not None:

@@ -44,7 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .coding import LinearCode, _propagate, is_solving
-from .gf_linalg import GfMatrix, lowest_solutions, matmul_mod
+from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, lowest_solutions, matmul_mod
 from .network import LayeredNetwork
 
 DEFAULT_BUDGET = 1_000_000
@@ -217,11 +217,13 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int) -> int | None:
     return floor
 
 
-def _pairs_per_batch(ln: LayeredNetwork, total_entries: int) -> int:
-    """Pairs per batch whose elimination arrays fit one full-candidate scan chunk."""
+def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
+    """Candidates per batch: at most ``limit``, and few enough that the
+    batch's int64 digits (``entries`` a candidate) and its arrival and
+    elimination arrays each stay within ``MAX_DENSE_BYTES``."""
     widths = [ln.message_length(s) for s in ln.base.sessions]
-    per_pair = sum(widths) * (ln.base.q + max(widths, default=0))
-    return max(1, _CHUNK * max(total_entries, 1) // max(per_pair, 1))
+    per_candidate = max(entries, sum(widths) * (ln.base.q + max(widths, default=0)), 1)
+    return max(1, min(limit, MAX_DENSE_BYTES // (8 * per_candidate)))
 
 
 def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
@@ -264,9 +266,9 @@ def exhaustive_search(
     no solving code (so none exists at this vector length, horizon and
     width profile), or ``budget-exceeded`` when no index below the
     budget solves.  The (encoder, relay) pairs are scanned ``chunk_size``
-    at a time, fewer when a batch's elimination arrays would outgrow a
-    scan chunk of full candidates.  Raises ``ValueError`` for a negative
-    budget or a chunk size below 1.
+    at a time, fewer when a batch's arrays would outgrow
+    ``MAX_DENSE_BYTES``.  Raises ``ValueError`` for a negative budget or
+    a chunk size below 1.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -281,7 +283,7 @@ def exhaustive_search(
     floor = _decoder_floor(ln, slots, pairs_entries)
     best = None
     if floor is not None and floor * pairs < bound:
-        batch = min(chunk_size, _pairs_per_batch(ln, total_entries))
+        batch = _batch_size(ln, pairs_entries, chunk_size)
         start, stop = 0, min(pairs, bound - floor * pairs)
         # no pair from start on can give an index below floor * pairs + start
         while start < stop and (best is None or best >= floor * pairs + start):
@@ -304,7 +306,8 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
 
     Entries are drawn in enumeration order, one candidate per trial, so
     equal seeds replay identical candidate sequences.  Trials are
-    evaluated in batches of 1, 2, 4, ... up to the scan chunk size, so a
+    evaluated in batches of 1, 2, 4, ... up to the scan chunk size, or
+    less when the batch's arrays would outgrow ``MAX_DENSE_BYTES``, so a
     search that hits early draws at most twice the trials it needs.
     """
     if trials < 1:
@@ -312,7 +315,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     slots, total_entries = ln._code_layout
     p = ln.base.field.p
     rng = random.Random(seed)
-    drawn, size = 0, 1
+    drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
     while drawn < trials:
         count = min(size, trials - drawn)
         size_entries = count * total_entries
@@ -326,5 +329,5 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
             code = _code_from_entries(ln, slots, digits[:, hits[0]])
             return SearchResult("found", _verified(ln, code, f"trial {trial}"), trial, trial)
         drawn += count
-        size = min(2 * size, _CHUNK)
+        size = min(2 * size, most)
     return SearchResult("not-found", None, None, trials)

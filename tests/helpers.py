@@ -9,8 +9,8 @@ import numpy as np
 from ldnc import gf_linalg
 from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
 from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
-from ldnc.fileformat import _MAX_SHIFT_BYTES
 from ldnc.gf_linalg import (
+    MAX_DENSE_BYTES,
     FieldModulus,
     GfMatrix,
     identity,
@@ -155,6 +155,38 @@ def single_edge_identity(p=2, q=2):
         relays={},
     )
     return ln, code
+
+
+def identity_edge(p=2, q=1, width=1):
+    fm = FieldModulus(p)
+    n = network(p, q, ["a", "b"], [("a", "b", identity(fm, q))], [(1, "a", "b", width)])
+    return detect_layers(n)
+
+
+def shared_source(p, q):
+    # sessions 1 and 3 share source a; session 2, of width 0, sits beside them
+    fm = FieldModulus(p)
+    n = network(
+        p, q, ["a", "b", "c"], [("a", "b", identity(fm, q)), ("a", "c", identity(fm, q))],
+        [(1, "a", "b", 1), (2, "a", "c", 0), (3, "a", "c", 1)],
+    )
+    return detect_layers(n)
+
+
+def unreachable_destination(p, q):
+    # session 2's destination d hears only b, which sources nothing
+    fm = FieldModulus(p)
+    n = network(
+        p, q, ["a", "b", "c", "d"], [("a", "c", identity(fm, q)), ("b", "d", identity(fm, q))],
+        [(1, "a", "c", 1), (2, "a", "d", 1)],
+    )
+    return detect_layers(n)
+
+
+def layout_edge_cases(p, q):
+    """A width-0 session beside others, a width-2 session, two sessions
+    sharing a source and a destination no source reaches."""
+    return [shared_source(p, q), identity_edge(p, q, width=2), unreachable_destination(p, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +605,7 @@ def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> S
 # each matrix literal as one token.  It differs from the original only
 # where the original crashed or over-allocated: entries of any size are
 # reduced exactly mod p, an over-long integer, a shift gain with q < 1 and
-# shift gains above ``_MAX_SHIFT_BYTES`` raise ParseError.
+# shift gains above ``MAX_DENSE_BYTES`` raise ParseError.
 
 _REF_RESERVED = {
     "p", "q", "nodes", "edges", "sessions", "gain", "shift", "g", "width",
@@ -685,7 +717,7 @@ def reference_parse_network(text: str) -> Network:
             if not 0 <= strength <= q or q < 1:
                 raise ParseError(f"shift strength {strength} outside 0..{q}")
             shift_bytes += 8 * q * q
-            if shift_bytes > _MAX_SHIFT_BYTES:
+            if shift_bytes > MAX_DENSE_BYTES:
                 raise ParseError("shift gains too large")
             return shift_matrix(field, q, strength)
         return ts.matrix(field)

@@ -14,6 +14,7 @@ from helpers import (
     all_message_tuples,
     butterfly_code,
     butterfly_network,
+    layout_edge_cases,
     two_unicast_code,
     two_unicast_network,
     path_sum_transfer,
@@ -236,6 +237,21 @@ def test_propagation_equals_path_sum_on_fixed_instances():
         ln = detect_layers(build_net())
         for code in (build_code(ln), random_code(ln, rng)):
             assert transfer_matrices(ln, code).grid == path_sum_transfer(ln, code).grid
+    # a width-0 session, a width-2 one, a shared source and a destination
+    # nothing reaches: zero arrivals decode to (len_k, len_l) zero entries
+    for p in (2, 3):
+        for q in (1, 2):
+            cases = layout_edge_cases(p, q)
+            for ln in cases:
+                code = random_code(ln, rng)
+                grid = transfer_matrices(ln, code).grid
+                assert grid == path_sum_transfer(ln, code).grid
+                sessions = ln.base.sessions_sorted()
+                for l, row in zip(sessions, grid):
+                    for k, entry in zip(sessions, row):
+                        assert entry.shape == (ln.message_length(k), ln.message_length(l))
+                if ln is cases[-1]:
+                    assert all(row[1].is_zero() for row in grid)
 
 
 def test_propagation_equals_path_sum_on_random_instances():

@@ -166,7 +166,7 @@ def test_oversized_shift_gain_is_rejected_before_allocating():
 
 def test_shift_gain_limit_counts_every_shift_gain(monkeypatch):
     # three 2x2 int64 shift gains take 96 bytes; a fourth goes over
-    monkeypatch.setattr(fileformat, "_MAX_SHIFT_BYTES", 96)
+    monkeypatch.setattr(fileformat, "MAX_DENSE_BYTES", 96)
     edges = "".join(f"  a -> b{i} gain shift g=1\n" for i in range(4))
     head = "p: 2\nq: 2\nnodes: a b0 b1 b2 b3\nedges:\n"
     assert len(parse_network(head + edges[: edges.index("  a -> b3")]).edges) == 3

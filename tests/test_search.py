@@ -17,6 +17,9 @@ from ldnc.search import (
 )
 
 from helpers import (
+    exhaustive_search_reference,
+    identity_edge,
+    layout_edge_cases,
     random_layered_instance,
     random_search_reference,
     record_exact_products,
@@ -28,42 +31,10 @@ from helpers import (
 GF2 = FieldModulus(2)
 
 
-def identity_edge(p=2, q=1, width=1):
-    fm = FieldModulus(p)
-    n = network(p, q, ["a", "b"], [("a", "b", identity(fm, q))], [(1, "a", "b", width)])
-    return detect_layers(n)
-
-
 def zero_edge(p=2):
     fm = FieldModulus(p)
     n = network(p, 1, ["a", "b"], [("a", "b", zeros(fm, 1, 1))], [(1, "a", "b", 1)])
     return detect_layers(n)
-
-
-def shared_source(p, q):
-    # sessions 1 and 3 share source a; session 2, of width 0, sits beside them
-    fm = FieldModulus(p)
-    n = network(
-        p, q, ["a", "b", "c"], [("a", "b", identity(fm, q)), ("a", "c", identity(fm, q))],
-        [(1, "a", "b", 1), (2, "a", "c", 0), (3, "a", "c", 1)],
-    )
-    return detect_layers(n)
-
-
-def unreachable_destination(p, q):
-    # session 2's destination d hears only b, which sources nothing
-    fm = FieldModulus(p)
-    n = network(
-        p, q, ["a", "b", "c", "d"], [("a", "c", identity(fm, q)), ("b", "d", identity(fm, q))],
-        [(1, "a", "c", 1), (2, "a", "d", 1)],
-    )
-    return detect_layers(n)
-
-
-def layout_edge_cases(p, q):
-    """A width-0 session beside others, a width-2 session, two sessions
-    sharing a source and a destination no source reaches."""
-    return [shared_source(p, q), identity_edge(p, q, width=2), unreachable_destination(p, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +203,27 @@ def test_zero_budget_scans_nothing():
     assert (result.outcome, result.scanned) == ("budget-exceeded", 0)
 
 
+def test_exhaustive_batches_stay_within_the_dense_limit():
+    # a width-0 session through 8 relays at q=16: 2,048 relay entries a
+    # pair, so a batch of 2**16 pairs would hold 1 GiB of digits
+    import tracemalloc
+
+    p, q = 2, 16
+    fm = FieldModulus(p)
+    relays = [f"r{i}" for i in range(8)]
+    edges = [("a", r, identity(fm, q)) for r in relays] + [(r, "b", identity(fm, q)) for r in relays]
+    ln = detect_layers(network(p, q, ["a", *relays, "b"], edges, [(1, "a", "b", 0)]))
+    assert free_entry_count(ln) == 8 * q * q
+    tracemalloc.start()
+    try:
+        result = exhaustive_search(ln)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (result.outcome, result.index) == ("found", 0)
+    assert peak < 300 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # batched kernel against the transfer-matrix path
 # ---------------------------------------------------------------------------
@@ -366,6 +358,48 @@ def test_random_search_matches_per_trial_reference():
                 late_hits += got.outcome == "found" and got.index > 8
     assert late_hits > 0
 
+
+def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
+    # a dense limit of three candidates' digits cuts every batch to a few
+    # candidates: the draw order and the first hits must not depend on it
+    batches = []
+    lowest, mask = search._lowest_decoders, search._solving_mask
+
+    def lowest_spy(ln, slots, pairs_entries, start, count):
+        batches.append(count)
+        return lowest(ln, slots, pairs_entries, start, count)
+
+    def mask_spy(ln, slots, digits):
+        batches.append(digits.shape[1])
+        return mask(ln, slots, digits)
+
+    monkeypatch.setattr(search, "_lowest_decoders", lowest_spy)
+    monkeypatch.setattr(search, "_solving_mask", mask_spy)
+    rng = random.Random(78)
+    instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), *layout_edge_cases(2, 2)]
+    while len(instances) < 8:
+        ln = random_layered_instance(
+            rng, p_choices=(2, 3), q_choices=(1, 2), horizon_choices=(1, 2),
+            max_per_layer=2, max_sessions=2, width_choices=(1,),
+        )
+        if candidate_count(ln) <= 1 << 12 and random_search(ln, trials=400, seed=1).code:
+            instances.append(ln)
+    hits_past_first_batch = 0
+    for ln in instances:
+        monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * 3 * free_entry_count(ln))
+        space = candidate_count(ln)
+        batches.clear()
+        got, want = exhaustive_search(ln, budget=space), exhaustive_search_reference(ln, space)
+        assert (got.outcome, got.index, got.scanned) == (want.outcome, want.index, want.scanned)
+        assert got.code == want.code
+        hits_past_first_batch += got.outcome == "found" and len(batches) > 1
+        for seed in (0, 1, 2):
+            got = random_search(ln, trials=40, seed=seed)
+            want = random_search_reference(ln, trials=40, seed=seed)
+            assert (got.outcome, got.index, got.scanned) == (want.outcome, want.index, want.scanned)
+            assert got.code == want.code
+        assert max(batches) <= 4
+    assert hits_past_first_batch > 0
 
 
 def test_random_search_finds_identity_edge_code_over_gf5():
