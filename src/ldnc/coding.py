@@ -37,9 +37,10 @@ from .network import LayeredNetwork, Session
 class LinearCode:
     """Encoders, decoders and relay matrices bound to a layered network.
 
-    ``encoders[k]`` is q x (width_k * horizon), ``decoders[k]`` its
-    transposed shape, and ``relays[j]`` is q x q for every node j at an
-    interior layer.
+    ``encoders`` and ``decoders`` are keyed by session id and ``relays``
+    by interior node.  The network's slot layout, the one that the code
+    search enumerates, defines which matrices a code holds and their
+    shapes; :func:`validate_code` checks a code against it.
     """
 
     network: LayeredNetwork
@@ -68,46 +69,30 @@ class TransferMap:
 
 
 def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
-    """Raise :class:`CodeBindingError` unless the code fits the network."""
+    """Raise :class:`CodeBindingError` unless the code holds exactly one
+    matrix per slot of the network's slot layout, found by the slot's kind
+    and key, with the slot's shape and over the network's field."""
     if code.network is not ln and code.network != ln:
         raise CodeBindingError("code is bound to a different network")
-    q = ln.base.q
     fm = ln.base.field
-    session_ids = {s.id for s in ln.base.sessions}
-    if set(code.encoders) != session_ids:
-        raise CodeBindingError(
-            f"encoder keys {sorted(code.encoders)} != session ids {sorted(session_ids)}"
-        )
-    if set(code.decoders) != session_ids:
-        raise CodeBindingError(
-            f"decoder keys {sorted(code.decoders)} != session ids {sorted(session_ids)}"
-        )
-    relay_nodes = set(ln.relay_nodes())
-    if set(code.relays) != relay_nodes:
-        raise CodeBindingError(
-            f"relay keys {sorted(code.relays)} != relay nodes {sorted(relay_nodes)}"
-        )
-    for s in ln.base.sessions:
-        mlen = ln.message_length(s)
-        enc = code.encoders[s.id]
-        if enc.shape != (q, mlen):
+    roles = {"C": ("encoder", code.encoders), "F": ("relay", code.relays),
+             "D": ("decoder", code.decoders)}
+    for kind, key, rows, cols in ln._code_shapes:
+        role, mats = roles[kind]
+        mat = mats.get(key)
+        if mat is None:
+            raise CodeBindingError(f"{role} {key!r} is missing")
+        if mat.shape != (rows, cols) or mat.field != fm:
             raise CodeBindingError(
-                f"encoder {s.id} has shape {enc.shape}, expected ({q}, {mlen})"
+                f"{role} {key!r} is {mat.shape} over {mat.field}, expected {(rows, cols)} over {fm}"
             )
-        dec = code.decoders[s.id]
-        if dec.shape != (mlen, q):
-            raise CodeBindingError(
-                f"decoder {s.id} has shape {dec.shape}, expected ({mlen}, {q})"
-            )
-        if enc.field != fm or dec.field != fm:
-            raise CodeBindingError(f"session {s.id} matrices use a foreign modulus")
-    for node, mat in code.relays.items():
-        if mat.shape != (q, q):
-            raise CodeBindingError(
-                f"relay {node!r} has shape {mat.shape}, expected ({q}, {q})"
-            )
-        if mat.field != fm:
-            raise CodeBindingError(f"relay {node!r} uses a foreign modulus")
+    if sum(len(mats) for _, mats in roles.values()) > len(ln._code_shapes):
+        slots = {(kind, key) for kind, key, _, _ in ln._code_shapes}
+        role, key = next(
+            (role, key) for kind, (role, mats) in roles.items() for key in mats
+            if (kind, key) not in slots
+        )
+        raise CodeBindingError(f"{role} {key!r} has no slot in the network")
 
 
 def _propagate(

@@ -222,11 +222,14 @@ def matrix_literal(m: GfMatrix) -> str:
 
 
 def serialize_network(n: Network) -> str:
+    # edges may share one gain object, as an unfolding's memory edges do
+    gains = {id(e.gain): e.gain for e in n.edges}
+    literals = {key: _gain_literal(gain) for key, gain in gains.items()}
     lines = [f"p: {n.field.p}", f"q: {n.q}"]
     lines.append("nodes: " + " ".join(sorted(n.nodes)))
     lines.append("edges:")
     for e in sorted(n.edges, key=lambda e: (e.src, e.dst)):
-        lines.append(f"  {e.src} -> {e.dst} gain {_gain_literal(e.gain)}")
+        lines.append(f"  {e.src} -> {e.dst} gain {literals[id(e.gain)]}")
     lines.append("sessions:")
     for s in sorted(n.sessions, key=lambda s: s.id):
         lines.append(f"  {s.id}: {s.source} -> {s.destination} width {s.width}")

@@ -80,17 +80,11 @@ class FieldModulus:
             raise ValueError(f"modulus must be prime, got {self.p}")
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse of a mod p."""
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        r0, r1 = a, self.p
-        s0, s1 = 1, 0
-        while r1:
-            quot = r0 // r1
-            r0, r1 = r1, r0 - quot * r1
-            s0, s1 = s1, s0 - quot * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def __str__(self) -> str:
         return f"GF({self.p})"

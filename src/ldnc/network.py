@@ -301,20 +301,25 @@ class LayeredNetwork:
         )
 
     @cached_property
-    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
-        """Slots of a code's free entries and their count: encoders in
-        session order, relays in node order, decoders in session order,
-        each matrix row-major."""
+    def _code_shapes(self) -> tuple[tuple[str, object, int, int], ...]:
+        """(kind, key, rows, cols) of every matrix of a code, the one
+        description of a code's shape: encoders in session order, relays
+        in node order, decoders in session order."""
         q = self.base.q
         sessions = self.base.sessions_sorted()
-        shapes = (
+        return tuple(
             [("C", s.id, q, self.message_length(s)) for s in sessions]
             + [("F", v, q, q) for v in self._relay_nodes]
             + [("D", s.id, self.message_length(s), q) for s in sessions]
         )
+
+    @cached_property
+    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
+        """Slots of a code's free entries and their count: the matrices of
+        :attr:`_code_shapes` in order, each row-major."""
         slots = []
         offset = 0
-        for kind, key, rows, cols in shapes:
+        for kind, key, rows, cols in self._code_shapes:
             slots.append(CodeSlot(kind, key, rows, cols, offset))
             offset += rows * cols
         return tuple(slots), offset
@@ -415,8 +420,6 @@ def detect_layers(n: Network) -> LayeredNetwork:
         raise NotLayeredError(
             f"node {offender!r} sits at layer {labels[offender]}, past the final layer {horizon}"
         )
-    if horizon < 1:
-        raise NotLayeredError("destinations coincide with the source layer")
     for s in n.sessions:
         if labels[s.destination] != horizon:
             raise NotLayeredError(f"session {s.id} destination is not at the final layer")

@@ -197,8 +197,19 @@ def _verified(ln: LayeredNetwork, code: LinearCode, where: str) -> LinearCode:
     return code
 
 
-def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int) -> int | None:
-    """Lowest decoder index d at which every D_k has full row rank.
+def _power(p: int, e: int, cap: int) -> int:
+    """p**e, or cap + 1 without building the power when e >= cap.bit_length().
+
+    Such a power exceeds cap for every p >= 2, so every comparison with
+    cap, and every sum or product of such stand-ins with factors >= 1,
+    ends on the same side of cap as with the exact powers.
+    """
+    return p**e if e < cap.bit_length() else cap + 1
+
+
+def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> int | None:
+    """Lowest decoder index d at which every D_k has full row rank, or
+    a stand-in above ``cap`` when d exceeds it.
 
     The lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
     most significant row is the smallest nonzero row e_0, and each row
@@ -213,17 +224,24 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int) -> int | None:
         if slot.rows > slot.cols:
             return None
         base = slot.offset - pairs_entries
-        floor += sum(p ** (base + r * slot.cols + slot.rows - 1 - r) for r in range(slot.rows))
+        floor += sum(
+            _power(p, base + r * slot.cols + slot.rows - 1 - r, cap) for r in range(slot.rows)
+        )
     return floor
 
 
 def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     """Candidates per batch: at most ``limit``, and few enough that the
     batch's int64 digits (``entries`` a candidate) and its arrival and
-    elimination arrays each stay within ``MAX_DENSE_BYTES``."""
+    elimination arrays each stay within ``MAX_DENSE_BYTES``.  Raises
+    ``ValueError`` when not even one candidate fits."""
     widths = [ln.message_length(s) for s in ln.base.sessions]
     per_candidate = max(entries, sum(widths) * (ln.base.q + max(widths, default=0)), 1)
-    return max(1, min(limit, MAX_DENSE_BYTES // (8 * per_candidate)))
+    if 8 * per_candidate > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"one candidate needs {8 * per_candidate} bytes, more than {MAX_DENSE_BYTES}"
+        )
+    return min(limit, MAX_DENSE_BYTES // (8 * per_candidate))
 
 
 def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
@@ -267,8 +285,9 @@ def exhaustive_search(
     width profile), or ``budget-exceeded`` when no index below the
     budget solves.  The (encoder, relay) pairs are scanned ``chunk_size``
     at a time, fewer when a batch's arrays would outgrow
-    ``MAX_DENSE_BYTES``.  Raises ``ValueError`` for a negative budget or
-    a chunk size below 1.
+    ``MAX_DENSE_BYTES``.  Raises ``ValueError`` for a negative budget, a
+    chunk size below 1, or a pair whose arrays alone would outgrow
+    ``MAX_DENSE_BYTES`` once it has to be propagated.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -276,11 +295,13 @@ def exhaustive_search(
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     slots, total_entries = ln._code_layout
     p = ln.base.field.p
-    space = p**total_entries
+    # a power past the budget is never built: its stand-in from _power
+    # lands on the same side of the budget in every test below
+    space = _power(p, total_entries, budget)
     bound = min(space, budget)
     pairs_entries = total_entries - sum(s.rows * s.cols for s in slots if s.kind == "D")
-    pairs = p**pairs_entries
-    floor = _decoder_floor(ln, slots, pairs_entries)
+    pairs = _power(p, pairs_entries, budget)
+    floor = _decoder_floor(ln, slots, pairs_entries, budget)
     best = None
     if floor is not None and floor * pairs < bound:
         batch = _batch_size(ln, pairs_entries, chunk_size)
@@ -309,6 +330,8 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     evaluated in batches of 1, 2, 4, ... up to the scan chunk size, or
     less when the batch's arrays would outgrow ``MAX_DENSE_BYTES``, so a
     search that hits early draws at most twice the trials it needs.
+    Raises ``ValueError`` for fewer than one trial, or before drawing
+    anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

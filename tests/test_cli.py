@@ -1,7 +1,9 @@
 import gc
 import io
 import pathlib
+import time
 
+import pytest
 from click.testing import CliRunner
 
 from ldnc import corpus
@@ -46,6 +48,7 @@ def test_validate_reports_violations(tmp_path):
     result = invoke("validate", str(bad))
     assert result.exit_code == 1
     assert "gain-shape" in result.output
+    assert result.output == "violation: gain-shape: edge 1 -> 3 gain is (3, 3), expected (2, 2)\n"
 
 
 def test_validate_missing_session_endpoint(tmp_path):
@@ -201,6 +204,29 @@ def test_search_zero_trials_exits_two():
     assert "trials must be >= 1" in result.output
 
 
+def test_search_on_a_huge_code_space_exits_1_at_once(tmp_path):
+    # 32,000,000 free entries over GF(3); the search used to build
+    # p**entries and ran for more than 100 s
+    net = tmp_path / "huge.net"
+    net.write_text("p: 3\nq: 4000\nnodes: a b\nedges:\nsessions: 1: a -> b width 4000\n")
+    start = time.perf_counter()
+    result = invoke("search", str(net), "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome budget-exceeded\nscanned 1000000\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):
+    from ldnc import search
+
+    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8)
+    for extra in ([], ["--trials", "1"]):
+        result = invoke("search", path("single_edge.net"), *extra)
+        assert result.exit_code == 2
+        assert result.output.startswith("error: one candidate needs ")
+        assert isinstance(result.exception, SystemExit)
+
+
 def test_search_random_mode_deterministic():
     a = invoke("search", path("single_edge.net"), "--trials", "2000",
                "--seed", "5", "--format", "structured")
@@ -230,6 +256,29 @@ def test_simulate_rejects_bad_message_file(tmp_path):
     msg.write_text("W 1: [1]\n")
     result = invoke("simulate", path("twounicast.net"), path("twounicast.code"), str(msg))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, expected", [
+    (
+        ("verify-reciprocity", "single_edge.net", "single_edge.code"),
+        "solves_forward: True\nduality_holds: True\ntranspose_solves_reciprocal: True\n"
+        "solvability_carried: True\ngamma[1->1]:\n  1 0\n  0 1\n"
+        "gamma_reciprocal[1->1]:\n  1 0\n  0 1\n",
+    ),
+    (
+        ("search", "single_edge.net"),
+        "outcome: found\nscanned: 103\nindex: 102\nT: 1\nC 1: [[0,1],[1,0]]\n"
+        "D 1: [[0,1],[1,0]]\n",
+    ),
+    (
+        ("simulate", "single_edge.net", "single_edge.code", "single_edge.msg"),
+        "reconstruction 1: [1,0]\n",
+    ),
+], ids=["verify-reciprocity", "search", "simulate"])
+def test_text_format_output(args, expected):
+    result = invoke(args[0], *map(path, args[1:]))
+    assert result.exit_code == 0
+    assert result.output == expected
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,33 @@ def test_transfer_rejects_bad_shapes():
         transfer_matrices(ln, bad)
 
 
+@pytest.mark.parametrize("role, key, spare", [
+    ("encoder", 2, 3), ("relay", "4", "9"), ("decoder", 1, 3),
+])
+@pytest.mark.parametrize("fault", ["missing", "extra", "misshapen", "foreign-modulus"])
+def test_validate_code_names_the_role_and_key_of_each_fault(role, key, spare, fault):
+    ln = detect_layers(two_unicast_network())
+    code = two_unicast_code(ln)
+    mats = {
+        "encoders": dict(code.encoders),
+        "relays": dict(code.relays),
+        "decoders": dict(code.decoders),
+    }
+    target = mats[role + "s"]
+    m = target[key]
+    if fault == "missing":
+        del target[key]
+    elif fault == "extra":
+        target[spare] = m
+        key = spare
+    elif fault == "misshapen":
+        target[key] = zeros(GF2, m.rows + 1, m.cols)
+    else:
+        target[key] = GfMatrix(GF3, m.to_array())
+    with pytest.raises(CodeBindingError, match=f"{role} {key!r} "):
+        transfer_matrices(ln, LinearCode(network=ln, **mats))
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -173,6 +200,8 @@ def test_simulate_rejects_wrong_lengths():
     ln, code = single_edge_identity(p=2, q=2)
     with pytest.raises(CodeBindingError):
         simulate(ln, code, [zeros(GF2, 3, 1)])
+    with pytest.raises(CodeBindingError, match="expected 1 message vectors, got 2"):
+        simulate(ln, code, [zeros(GF2, 2, 1)] * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,30 @@ def test_parse_errors():
         parse_network(NET_SAMPLE.replace("[[1, 2],", "[[1],"))  # ragged matrix
     with pytest.raises(ParseError):
         parse_network("p: 2 q: 1 nodes: a $ b edges: sessions:")
+    ln = detect_layers(parse_network(corpus.read("twounicast.net")))
+    for record in ("C 1: [[1],[0]]", "D 2: [[0,1]]", "F 3: [[1,0],[0,1]]"):
+        with pytest.raises(ParseError, match=f"duplicate {record[0]} record"):
+            parse_code(corpus.read("twounicast.code") + record + "\n", ln)
+
+
+def test_serialize_network_prints_each_shared_gain_once(monkeypatch):
+    # an unfolding shares one memory gain across all memory edges and one
+    # embedded gain across the copies of each channel edge
+    from ldnc.layering import unfold
+
+    un = unfold(parse_network(corpus.read("triangle.net")), 4).base
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return shift_strength(m)
+
+    shift_strength = fileformat.as_shift_strength
+    monkeypatch.setattr(fileformat, "as_shift_strength", counted)
+    text = serialize_network(un)
+    distinct = {id(e.gain) for e in un.edges}
+    assert len(calls) == len(distinct) < len(un.edges)
+    assert parse_network(text) == un
 
 
 def test_code_horizon_mismatch_is_a_binding_error():

@@ -39,7 +39,10 @@ def rows(field, data):
 
 def test_modulus_rejects_composites_and_out_of_range():
     for bad in (0, 1, 4, 9, 15, 2**31):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(ValueError):
+            FieldModulus(bad)
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError, match="must be an int"):
             FieldModulus(bad)
     FieldModulus(2)
     FieldModulus(2**31 - 1)  # prime, upper edge of the supported range
@@ -276,6 +279,8 @@ def test_shift_strength_out_of_range():
         shift_matrix(GF2, 3, 4)
     with pytest.raises(ValueError):
         shift_matrix(GF2, 3, -1)
+    with pytest.raises(ValueError, match="vector length"):
+        shift_matrix(GF2, 0, 0)
 
 
 def _subdiagonal_power(field, q, k):
@@ -305,6 +310,8 @@ def test_flip_pattern_and_involution():
     for q in range(1, 6):
         j = flip_matrix(GF3, q)
         assert j @ j == identity(GF3, q)
+    with pytest.raises(ValueError, match="vector length"):
+        flip_matrix(GF2, 0)
 
 
 def test_flip_reverses_vectors():
@@ -359,6 +366,8 @@ def test_block_embed_places_product_in_bottom_band():
 def test_block_embed_dimension_check():
     with pytest.raises(ShapeMismatchError):
         block_embed(zeros(GF2, 2, 3), 2, 1)
+    with pytest.raises(ValueError, match="horizon"):
+        block_embed(zeros(GF2, 2, 2), 2, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,13 @@ def test_kronecker_grid_rejects_scaled_identity():
 def test_kronecker_grid_empty_diagonal_is_vacuous():
     grid = [[zeros(GF2, 0, 0)]]
     assert is_kronecker_delta_identity(grid)
+
+
+def test_kronecker_grid_rejects_ragged_grids_and_non_square_diagonals():
+    with pytest.raises(ShapeMismatchError, match="square"):
+        is_kronecker_delta_identity([[identity(GF2, 1), zeros(GF2, 1, 1)]])
+    with pytest.raises(ShapeMismatchError, match=r"\(0,0\) must be square"):
+        is_kronecker_delta_identity([[zeros(GF2, 1, 2)]])
 
 
 # ---------------------------------------------------------------------------

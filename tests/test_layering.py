@@ -33,6 +33,7 @@ from helpers import (
 )
 
 GF2 = FieldModulus(2)
+GF3 = FieldModulus(3)
 
 
 def two_node_net(p=2, q=1):
@@ -45,6 +46,12 @@ def two_node_net(p=2, q=1):
 # ---------------------------------------------------------------------------
 # unfold
 # ---------------------------------------------------------------------------
+
+
+def test_unfold_rejects_a_horizon_below_one():
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            unfold(two_node_net(), horizon)
 
 
 def test_unfold_two_node_structure():
@@ -187,6 +194,37 @@ def test_validate_scheme_rejects_bad_shapes():
     )
     with pytest.raises(SchemeShapeError):
         validate_scheme(n, bad)
+
+
+_DECODES = {1: zeros(GF2, 2, 2)}
+
+
+@pytest.mark.parametrize(
+    "horizon, encoders, decoders, match",
+    [
+        (0, {}, {1: zeros(GF2, 0, 0)}, "horizon must be >= 1"),
+        (2, {("z", 0): zeros(GF2, 1, 0)}, _DECODES, "unknown node 'z'"),
+        (2, {("a", 2): zeros(GF2, 1, 4)}, _DECODES, r"time 2 outside 0\.\.1"),
+        (2, {("a", 1): zeros(GF2, 1, 2)}, _DECODES, r"\('a', 1\) has shape"),
+        (2, {("a", 0): zeros(GF3, 1, 2)}, _DECODES, r"\('a', 0\) uses a foreign modulus"),
+        (2, {}, {}, "decoder keys"),
+        (2, {}, {1: zeros(GF2, 2, 3)}, "decoder 1 has shape"),
+        (2, {}, {1: zeros(GF3, 2, 2)}, "decoder 1 uses a foreign modulus"),
+    ],
+)
+def test_validate_scheme_names_each_fault(horizon, encoders, decoders, match):
+    scheme = UnlayeredLinearScheme(horizon=horizon, node_encoders=encoders, decoders=decoders)
+    with pytest.raises(SchemeShapeError, match=match):
+        validate_scheme(two_node_net(), scheme)
+
+
+def test_simulate_unlayered_rejects_wrong_message_count_and_shape():
+    n = two_node_net()
+    scheme = UnlayeredLinearScheme(horizon=2, node_encoders={}, decoders=_DECODES)
+    with pytest.raises(SchemeShapeError, match="expected 1 message vectors, got 0"):
+        simulate_unlayered(n, scheme, [])
+    with pytest.raises(SchemeShapeError, match=r"has shape \(3, 1\), expected \(2, 1\)"):
+        simulate_unlayered(n, scheme, [zeros(GF2, 3, 1)])
 
 
 def test_simulate_unlayered_identity_relay_chain():
@@ -427,6 +465,13 @@ def test_project_rejects_reserved_band_writes():
         relays=lifted.relays,
     )
     with pytest.raises(BlockFormError):
+        project_code(bad)
+    bad_relays = dict(lifted.relays)
+    arr = bad_relays["b@1"].to_array().copy()
+    arr[-1, 0] = 1
+    bad_relays["b@1"] = GfMatrix(GF2, arr)
+    bad = LinearCode(lifted.network, lifted.encoders, lifted.decoders, bad_relays)
+    with pytest.raises(BlockFormError, match="relay 'b@1' writes into the reserved"):
         project_code(bad)
 
 

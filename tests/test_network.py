@@ -66,6 +66,31 @@ def test_validate_flags_duplicate_edges_unknown_nodes_and_moduli():
     assert kinds == {"duplicate-edge", "unknown-node", "gain-modulus", "session-id"}
 
 
+@pytest.mark.parametrize(
+    "nodes, q, edges, sessions, kind",
+    [
+        (["a", "a", "b"], 1, [("a", "b")], [(1, "a", "b", 1)], "duplicate-node"),
+        (["a", "b"], 0, [], [(1, "a", "b", 1)], "vector-length"),
+        (["a", "b"], 1, [("a", "b"), ("b", "b")], [(1, "a", "b", 1)], "self-loop"),
+        (["a", "b"], 1, [("a", "b")], [(1, "a", "b", 1), (1, "a", "b", 1)], "session-id"),
+        (["a", "b"], 1, [("a", "b")], [(1, "a", "b", -1)], "session-width"),
+    ],
+)
+def test_validate_flags_each_violation_kind(nodes, q, edges, sessions, kind):
+    g = identity(GF2, q)
+    bad = network(2, q, nodes, [(u, v, g) for u, v in edges], sessions)
+    assert [v.kind for v in validate(bad).violations] == [kind]
+    with pytest.raises(InvalidNetworkError, match=kind):
+        detect_layers(bad)
+
+
+def test_session_lookup_by_id():
+    n = two_unicast_network()
+    assert n.session(2).id == 2
+    with pytest.raises(KeyError, match="no session with id 9"):
+        n.session(9)
+
+
 # ---------------------------------------------------------------------------
 # reciprocal
 # ---------------------------------------------------------------------------
@@ -223,6 +248,21 @@ def test_detect_layers_component_anchored_only_by_destination():
     rln = detect_layers(reciprocal(n))
     for v in n.nodes:
         assert rln.layer_of(v) == ln.horizon - ln.layer_of(v)
+
+
+def test_detect_layers_rejects_sessionless_networks_and_early_destinations():
+    g = identity(GF2, 1)
+    with pytest.raises(NotLayeredError, match="at least one session"):
+        detect_layers(network(2, 1, ["a", "b"], [("a", "b", g)], []))
+    # session 1 ends at layer 1 while session 2 runs on to layer 2
+    n = network(
+        2, 1,
+        ["a", "b", "c", "r", "d"],
+        [("a", "b", g), ("c", "r", g), ("r", "d", g)],
+        [(1, "a", "b", 1), (2, "c", "d", 1)],
+    )
+    with pytest.raises(NotLayeredError, match="session 1 destination"):
+        detect_layers(n)
 
 
 def test_detect_layers_rejects_unanchored_component():

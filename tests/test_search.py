@@ -203,6 +203,42 @@ def test_zero_budget_scans_nothing():
     assert (result.outcome, result.scanned) == ("budget-exceeded", 0)
 
 
+def test_every_budget_keeps_the_reference_answer():
+    # budgets with fewer bits than the free entries, where the search
+    # compares stand-ins instead of the powers past the budget
+    instances = [identity_edge(p=3), identity_edge(p=2, q=2), zero_edge()]
+    instances += [*layout_edge_cases(2, 1), *layout_edge_cases(3, 1)]
+    cases = [(ln, range(candidate_count(ln) + 2)) for ln in instances]
+    cases.append((detect_layers(two_unicast_network()), range(66)))
+    for ln, budgets in cases:
+        for budget in budgets:
+            got = exhaustive_search(ln, budget=budget)
+            want = exhaustive_search_reference(ln, budget)
+            assert (got.outcome, got.index, got.scanned) == (want.outcome, want.index, want.scanned)
+
+
+def test_huge_code_spaces_are_decided_without_building_their_size():
+    # 6,000,000 free entries over GF(3): p**entries alone took seconds
+    import time
+
+    start = time.perf_counter()
+    ln = detect_layers(network(3, 3_000_000, ["a", "b"], [], [(1, "a", "b", 1)]))
+    result = exhaustive_search(ln)
+    assert (result.outcome, result.scanned) == ("budget-exceeded", 1_000_000)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
+    # a pair of the exhaustive search takes 3 int64 words of arrivals and
+    # elimination, a trial of the random search its 4 entries
+    ln = identity_edge(p=2, q=2, width=1)
+    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * 3 - 1)
+    with pytest.raises(ValueError, match="one candidate needs 24 bytes, more than 23"):
+        exhaustive_search(ln)
+    with pytest.raises(ValueError, match="one candidate needs 32 bytes, more than 23"):
+        random_search(ln, trials=1)
+
+
 def test_exhaustive_batches_stay_within_the_dense_limit():
     # a width-0 session through 8 relays at q=16: 2,048 relay entries a
     # pair, so a batch of 2**16 pairs would hold 1 GiB of digits

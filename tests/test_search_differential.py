@@ -152,7 +152,11 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
             slots, total = ln._code_layout
             pairs_entries = total - q * sum(widths)
             want = None if max(widths) > q else brute_floor(p, q, widths)
-            assert _decoder_floor(ln, slots, pairs_entries) == want, (q, widths)
+            assert _decoder_floor(ln, slots, pairs_entries, p**total) == want, (q, widths)
+            # a cap below the floor gives a stand-in above the cap
+            for cap in range(0 if want is None else min(want, 40) + 2):
+                got = _decoder_floor(ln, slots, pairs_entries, cap)
+                assert got == want if want <= cap else cap < got <= want, (q, widths, cap)
             checked += 1
             none += want is None
     assert checked > 10 and none > 0
@@ -167,7 +171,7 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
     ln = width_network(2, 2, (1, 1))
     slots, total = ln._code_layout
     pairs_entries = total - 2 * 2  # the decoders are two 1 x 2 matrices
-    below = _decoder_floor(ln, slots, pairs_entries) * 2**pairs_entries
+    below = _decoder_floor(ln, slots, pairs_entries, candidate_count(ln)) * 2**pairs_entries
     wide = width_network(3, 1, (2,))
     monkeypatch.setattr(search, "_propagate", refuse)
     result = exhaustive_search(ln, budget=below)
