@@ -60,7 +60,7 @@ class UnlayeredLinearScheme:
 
 
 def message_block_width(n: Network, horizon: int, node: str) -> int:
-    return sum(s.width * horizon for s in n.sessions_sourced_at(node))
+    return n._source_widths.get(node, 0) * horizon
 
 
 def _message_columns(n: Network, horizon: int, node: str) -> dict[int, slice]:
@@ -132,8 +132,10 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     layer step, and identity memory edges joining consecutive copies of
     each node.  Sessions move to ``source@0`` and ``destination@horizon``.
     The copies of an edge share one embedded gain, so the gains take
-    ``(|E| + 1) * big**2`` int64 entries; ``ValueError`` is raised before
-    anything is built when that exceeds ``MAX_DENSE_BYTES``.
+    ``(|E| + 1) * big**2`` int64 entries, and running the unfolding holds
+    one ``big``-row int64 transmission per node and per edge.
+    ``ValueError`` is raised before anything is built when either exceeds
+    ``MAX_DENSE_BYTES``.
     """
     require_valid(n)
     if horizon < 1:
@@ -146,29 +148,30 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
             f"unfolding over {horizon} instants needs {gain_bytes} bytes of gains, "
             f"more than {MAX_DENSE_BYTES}"
         )
+    objects = len(n.nodes) * (horizon + 1) + (len(n.nodes) + len(n.edges)) * horizon
+    if objects * big * 8 > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"unfolding over {horizon} instants has {objects} nodes and edges, whose "
+            f"transmissions need {objects * big * 8} bytes, more than {MAX_DENSE_BYTES}"
+        )
     mem_gain = identity(n.field, big)
-    embedded = [block_embed(e.gain, q, horizon) for e in n.edges]
-    nodes = []
-    layer_map = {}
-    for layer in range(horizon + 1):
-        for v in n.nodes:
-            name = stage_name(v, layer)
-            nodes.append(name)
-            layer_map[name] = layer
+    position = {v: i for i, v in enumerate(n.nodes)}
+    channels = [
+        (position[e.src], position[e.dst], block_embed(e.gain, q, horizon)) for e in n.edges
+    ]
+    names = [[stage_name(v, layer) for v in n.nodes] for layer in range(horizon + 1)]
+    layer_map = {name: layer for layer, row in enumerate(names) for name in row}
     edges: list[Edge] = []
-    for layer in range(horizon):
-        for v in n.nodes:
-            edges.append(
-                Edge(stage_name(v, layer), stage_name(v, layer + 1), mem_gain)
-            )
-        for e, gain in zip(n.edges, embedded):
-            edges.append(Edge(stage_name(e.src, layer), stage_name(e.dst, layer + 1), gain))
+    for here, there in zip(names, names[1:]):
+        edges.extend(Edge(a, b, mem_gain) for a, b in zip(here, there))
+        edges.extend(Edge(here[i], there[j], gain) for i, j, gain in channels)
     sessions = tuple(
-        Session(s.id, stage_name(s.source, 0), stage_name(s.destination, horizon), s.width)
+        Session(s.id, names[0][position[s.source]], names[horizon][position[s.destination]],
+                s.width)
         for s in n.sessions
     )
     base = Network(
-        field=n.field, q=big, nodes=tuple(nodes), edges=tuple(edges), sessions=sessions
+        field=n.field, q=big, nodes=tuple(layer_map), edges=tuple(edges), sessions=sessions
     )
     return UnfoldedNetwork(
         base=base, layer_map=layer_map, horizon=horizon, original=n
@@ -362,32 +365,35 @@ def simulate_unlayered(
             )
     by_id = {s.id: w.to_array() for s, w in zip(sessions, messages)}
 
-    own_messages = {}
+    # known[v]: v's own messages, then y_v[0], .., y_v[horizon-1], filled in
+    # as they arrive; the encoder for instant m reads the rows known by then
+    widths = {v: message_block_width(n, horizon, v) for v in n.nodes}
+    known = {}
     for v in n.nodes:
-        arr = np.zeros((message_block_width(n, horizon, v), ncols), dtype=np.int64)
+        arr = np.zeros((widths[v] + q * horizon, ncols), dtype=np.int64)
         for sid, rows in _message_columns(n, horizon, v).items():
             arr[rows] = by_id[sid]
-        own_messages[v] = arr
+        known[v] = arr
 
-    history: dict[str, list[np.ndarray]] = {v: [] for v in n.nodes}
     for instant in range(horizon):
         transmitted = {}
         for v in n.nodes:
             enc = scheme.node_encoders.get((v, instant))
-            if enc is None:
-                transmitted[v] = np.zeros((q, ncols), dtype=np.int64)
-            else:
-                stacked = np.vstack([own_messages[v]] + history[v])
-                transmitted[v] = matmul_mod(fm.p, (enc.to_array(), stacked))
+            if enc is not None:
+                seen = known[v][:widths[v] + q * instant]
+                transmitted[v] = matmul_mod(fm.p, (enc.to_array(), seen))
         for v in n.nodes:
-            pairs = [(e.gain.to_array(), transmitted[e.src]) for e in n.in_edges(v)]
+            pairs = [
+                (e.gain.to_array(), transmitted[e.src])
+                for e in n.in_edges(v)
+                if e.src in transmitted
+            ]
             if pairs:
-                history[v].append(matmul_mod(fm.p, *pairs))
-            else:
-                history[v].append(np.zeros((q, ncols), dtype=np.int64))
+                start = widths[v] + q * instant
+                known[v][start:start + q] = matmul_mod(fm.p, *pairs)
 
     outputs = []
     for s in sessions:
-        stacked = np.vstack(history[s.destination])
-        outputs.append(GfMatrix(fm, matmul_mod(fm.p, (scheme.decoders[s.id].to_array(), stacked))))
+        history = known[s.destination][widths[s.destination]:]
+        outputs.append(GfMatrix(fm, matmul_mod(fm.p, (scheme.decoders[s.id].to_array(), history))))
     return outputs

@@ -60,13 +60,18 @@ class Network:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
+        mine, theirs = self.edge_map(), other.edge_map()
+        # one comparison per distinct pair of gain objects: the copies of an
+        # edge in an unfolding share one gain
+        gain_pairs = {(id(g), id(theirs.get(k))): (g, theirs.get(k)) for k, g in mine.items()}
         return (
             self.field == other.field
             and self.q == other.q
             and set(self.nodes) == set(other.nodes)
-            and self.edge_map() == other.edge_map()
             and sorted(self.sessions, key=lambda s: s.id)
             == sorted(other.sessions, key=lambda s: s.id)
+            and mine.keys() == theirs.keys()
+            and all(a == b for a, b in gain_pairs.values())
         )
 
     def edge_map(self) -> dict[tuple[str, str], GfMatrix]:
@@ -83,6 +88,16 @@ class Network:
     @cached_property
     def _sessions_by_source(self) -> dict[str, tuple[Session, ...]]:
         return _grouped(self.sessions_sorted(), lambda s: s.source)
+
+    @cached_property
+    def _source_widths(self) -> dict[str, int]:
+        """Summed width of the sessions sourced at each source node."""
+        return {v: sum(s.width for s in ss) for v, ss in self._sessions_by_source.items()}
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        """:func:`validate`'s report, computed once: a network is immutable."""
+        return validate(self)
 
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._in_edges_by_node.get(node, ()))
@@ -217,9 +232,8 @@ def validate(n: Network) -> ValidationReport:
 
 
 def require_valid(n: Network) -> None:
-    report = validate(n)
-    if not report.ok:
-        raise InvalidNetworkError(report)
+    if not n._report.ok:
+        raise InvalidNetworkError(n._report)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +296,9 @@ class LayeredNetwork:
         if not isinstance(other, LayeredNetwork):
             return NotImplemented
         return (
-            self.base == other.base
-            and dict(self.layer_map) == dict(other.layer_map)
-            and self.horizon == other.horizon
+            self.horizon == other.horizon
+            and self.layer_map == other.layer_map
+            and self.base == other.base
         )
 
     def layer_of(self, node: str) -> int:

@@ -92,10 +92,18 @@ def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
 
 
 def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
-    """Decode a candidate index into its code (the enumeration contract)."""
+    """Decode a candidate index into its code (the enumeration contract).
+
+    Raises ``ValueError`` for an index outside the code space, or when
+    the code's int64 entries would outgrow ``MAX_DENSE_BYTES``.
+    """
     slots, total = ln._code_layout
-    if not 0 <= index < ln.base.field.p ** total:
+    if not 0 <= index < _power(ln.base.field.p, total, index):
         raise ValueError(f"candidate index {index} out of range")
+    if 8 * total > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"a code of {total} entries needs {8 * total} bytes, more than {MAX_DENSE_BYTES}"
+        )
     entries = _candidate_digits(index, 1, total, ln.base.field.p)[:, 0]
     return _code_from_entries(ln, slots, entries)
 

@@ -327,3 +327,19 @@ def test_unfold_over_a_huge_horizon_exits_2_at_once(tmp_path):
     assert "bytes" in result.output
     assert not out.exists()
     assert time.perf_counter() - start < 1.0
+
+
+def test_unfold_with_too_many_nodes_and_edges_exits_2_at_once(tmp_path):
+    # 1,000 edgeless nodes at T = 300 used to build a 202 MB unfolding
+    import time
+
+    net = tmp_path / "edgeless.net"
+    nodes = " ".join(f"n{i}" for i in range(1000))
+    net.write_text(f"p: 2\nq: 1\nnodes: {nodes}\nedges:\nsessions: 1: n0 -> n1 width 1\n")
+    out = tmp_path / "unfolded.net"
+    start = time.perf_counter()
+    result = invoke("unfold", str(net), "300", str(out))
+    assert result.exit_code == 2
+    assert result.output.startswith("error: unfolding over 300 instants has 601000 nodes and edges")
+    assert not out.exists()
+    assert time.perf_counter() - start < 1.0

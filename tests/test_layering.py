@@ -597,6 +597,117 @@ def test_unfold_refuses_gains_over_the_dense_limit_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
+def test_unfold_refuses_too_many_nodes_and_edges_before_allocating():
+    import time
+    import tracemalloc
+
+    # 1,000 edgeless nodes at T = 300: 601,000 nodes and edges, each with a
+    # 302-row int64 transmission, 1.45 GB; this used to build a 202 MB network
+    n = network(2, 1, [f"n{i}" for i in range(1000)], [], [(1, "n0", "n1", 1)])
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="601000 nodes and edges"):
+            unfold(n, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+
+
+def test_unfold_object_limit_is_exact(monkeypatch):
+    from ldnc import layering
+
+    n = triangle_network(2, 1)
+    horizon = 3
+    # |V|(T+1) nodes and (|V| + |E|)T edges of q(T+2) int64 rows each
+    need = (3 * (horizon + 1) + 6 * horizon) * (horizon + 2) * 8
+    monkeypatch.setattr(layering, "MAX_DENSE_BYTES", need)
+    assert len(unfold(n, horizon).base.nodes) == 12
+    monkeypatch.setattr(layering, "MAX_DENSE_BYTES", need - 1)
+    with pytest.raises(ValueError, match=f"need {need} bytes, more than {need - 1}"):
+        unfold(n, horizon)
+
+
+def test_equal_unfoldings_compare_each_shared_gain_once(monkeypatch):
+    n = triangle_network(3, 2)
+    a, b = unfold(n, 4), unfold(n, 4)
+    calls = []
+    compare = GfMatrix.__eq__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return compare(self, other)
+
+    monkeypatch.setattr(GfMatrix, "__eq__", counted)
+    assert a == b and a.base == b.base
+    # one memory gain and one embedded gain per channel edge, per comparison
+    assert len(calls) == 2 * (len(n.edges) + 1)
+    assert a != unfold(n, 3)
+    assert unfold(triangle_network(3, 1), 4) != a
+
+
+def test_one_unfolding_item_validates_each_network_once(monkeypatch):
+    import sys
+    from collections import Counter
+
+    # the package exports the function ``network`` under the module's name
+    network_module = sys.modules["ldnc.network"]
+    validated = Counter()
+    check = network_module.validate
+
+    def counted(n):
+        validated[id(n)] += 1
+        return check(n)
+
+    monkeypatch.setattr(network_module, "validate", counted)
+    n = triangle_network(3, 2)
+    rng = random.Random(1101)
+    scheme = random_scheme(n, 3, rng)
+    messages = [random_matrix(n.field, 3, 4, rng)]
+    un = unfold(n, 3)
+    lifted = lift_code(n, scheme)
+    assert simulate(un, lifted, messages) == simulate_unlayered(n, scheme, messages)
+    assert schemes_equal(n, project_code(lifted), scheme)
+    assert validated[id(n)] == 1
+    assert set(validated.values()) == {1}
+
+
+def sparse_cycle_net(p, q):
+    """s only sends; a -> b -> c -> a is a cycle; z hears nothing.
+
+    Session 2 has width 0 and ends at z, which has no in-edges.
+    """
+    fm = FieldModulus(p)
+    rng = random.Random(p * 10 + q)
+    edges = [(u, v, random_matrix(fm, q, q, rng))
+             for u, v in [("s", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("s", "c")]]
+    return network(p, q, ["s", "a", "b", "c", "z"], edges,
+                   [(1, "s", "b", 1), (2, "a", "z", 0), (3, "c", "s", 1)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_simulate_unlayered_on_silent_instants_and_empty_sessions(p):
+    # b's only in-neighbour a is silent at even instants and c at the
+    # last one; s and z have no in-edges; session 2 carries no symbols
+    for q, horizon in [(1, 1), (1, 3), (2, 2), (2, 4)]:
+        n = sparse_cycle_net(p, q)
+        rng = random.Random(p + 7 * q + horizon)
+        scheme = random_scheme(n, horizon, rng)
+        silent = {("a", m) for m in range(0, horizon, 2)} | {("c", horizon - 1)}
+        scheme = UnlayeredLinearScheme(
+            horizon=horizon,
+            node_encoders={k: e for k, e in scheme.node_encoders.items() if k not in silent},
+            decoders=scheme.decoders,
+        )
+        messages = [random_matrix(n.field, s.width * horizon, 5, rng)
+                    for s in n.sessions_sorted()]
+        direct = simulate_unlayered(n, scheme, messages)
+        assert direct == simulate(unfold(n, horizon), lift_code(n, scheme), messages)
+        assert [m.shape for m in direct] == [(horizon, 5), (0, 5), (horizon, 5)]
+
+
 def test_lift_code_refuses_relays_over_the_dense_limit_before_allocating():
     import tracemalloc
 

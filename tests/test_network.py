@@ -326,6 +326,44 @@ def test_cached_lookups_hand_out_fresh_lists():
     assert ln.relay_nodes() == ["3", "4"]
 
 
+def test_require_valid_raises_the_report_of_validate_every_time():
+    n = network(2, 2, ["a", "a"], [("a", "b", identity(GF2, 3))], [(1, "a", "a", -1)])
+    want = validate(n)
+    assert [v.kind for v in want.violations] == [
+        "duplicate-node", "unknown-node", "gain-shape", "session-endpoints", "session-width",
+    ]
+    for _ in range(2):
+        with pytest.raises(InvalidNetworkError) as info:
+            reciprocal(n)
+        assert info.value.report == want
+        assert validate(n) == want
+
+
+def chain_net(gains, p=3, q=2):
+    """a0 -> a1 -> ..., one edge per given gain object, in order."""
+    nodes = [f"a{i}" for i in range(len(gains) + 1)]
+    edges = [(f"a{i}", f"a{i + 1}", g) for i, g in enumerate(gains)]
+    return network(p, q, nodes, edges, [(1, "a0", nodes[-1], 1)])
+
+
+def test_equality_checks_every_edge_whichever_side_shares_its_gains():
+    fm = FieldModulus(3)
+    g, h = shift_matrix(fm, 2, 1), identity(fm, 2)
+    shared = chain_net([g] * 4)
+    copies = chain_net([shift_matrix(fm, 2, 1) for _ in range(4)])
+    assert shared == copies and copies == shared
+    for i in range(4):
+        # every other edge matches, so a memo keyed on one side's gain
+        # object alone would take edge i as equal
+        odd_copies = chain_net([h if j == i else shift_matrix(fm, 2, 1) for j in range(4)])
+        odd_shared = chain_net([h if j == i else g for j in range(4)])
+        for a, b in ((shared, odd_copies), (copies, odd_shared), (shared, odd_shared)):
+            assert a != b and b != a
+    moved = network(3, 2, shared.nodes, [("a0", "a1", g), ("a1", "a2", g), ("a2", "a3", g),
+                                         ("a2", "a4", g)], [(1, "a0", "a4", 1)])
+    assert shared != moved and moved != shared
+
+
 @st.composite
 def small_networks(draw):
     """Up to 7 nodes on up to 4 drawn layers; edges and session ends lean

@@ -60,8 +60,10 @@ def test_candidate_code_digit_order():
     code = candidate_code(ln, 2)
     assert code.encoders[1] == GfMatrix.from_rows(GF2, [[0]])
     assert code.decoders[1] == GfMatrix.from_rows(GF2, [[1]])
-    with pytest.raises(ValueError):
-        candidate_code(ln, 4)
+    assert candidate_code(ln, 3).decoders[1] == GfMatrix.from_rows(GF2, [[1]])
+    for index in (4, 8, 10**40, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            candidate_code(ln, index)
 
 
 @pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
@@ -226,6 +228,31 @@ def test_huge_code_spaces_are_decided_without_building_their_size():
     result = exhaustive_search(ln)
     assert (result.outcome, result.scanned) == ("budget-exceeded", 1_000_000)
     assert time.perf_counter() - start < 0.5
+
+
+def test_candidate_code_decodes_in_a_huge_space_without_building_its_size():
+    # 2,000,000 free entries over GF(2^31 - 1): the power alone took 37.6 s
+    import time
+
+    p = 2**31 - 1
+    ln = detect_layers(network(p, 1000, ["a", "b"], [], [(1, "a", "b", 1000)]))
+    start = time.perf_counter()
+    code = candidate_code(ln, 0)
+    assert time.perf_counter() - start < 1.0
+    assert code.encoders[1].shape == (1000, 1000) and code.encoders[1].is_zero()
+    assert code.decoders[1].shape == (1000, 1000) and code.decoders[1].is_zero()
+    with pytest.raises(ValueError, match="out of range"):
+        candidate_code(ln, -1)
+
+
+def test_candidate_code_refuses_a_code_over_the_dense_limit(monkeypatch):
+    ln = identity_edge(p=2, q=2, width=1)
+    entries = free_entry_count(ln)
+    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * entries)
+    assert candidate_code(ln, 0).encoders[1].shape == (2, 1)
+    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * entries - 1)
+    with pytest.raises(ValueError, match=f"a code of {entries} entries needs {8 * entries} bytes"):
+        candidate_code(ln, 0)
 
 
 def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
