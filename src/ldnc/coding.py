@@ -8,13 +8,16 @@ maps; :func:`simulate` runs the same network on concrete message vectors;
 :func:`is_solving` decides whether the code reconstructs every message
 exactly.
 
-:func:`simulate` and the code search share one batched propagation
-kernel, :func:`_propagate`; :func:`transfer_matrices` keeps its own
-per-session walk, independent of it, so that it can re-verify what the
-kernel finds.  Both run on int64 residue arrays and take every product
-from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in int64 when the
-unreduced sum fits it and on Python integers otherwise, so every result
-is exact for every modulus.
+:func:`simulate` and both code searches share one batched propagation
+kernel, :func:`_arrivals`: every session is the column block of its
+message in one shared transmission, so one pass gives destination k its
+arrival Y_k = [Y_k1 ... Y_kn], and :func:`simulate` returns D_k . Y_k . W
+with W the stacked messages.  :func:`transfer_matrices` keeps its own
+per-session walk, independent of the kernel, so that it can re-verify
+what the kernel finds.  Both run on int64 residue arrays and take every
+product from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in int64
+when the unreduced sum fits it and on Python integers otherwise, so
+every result is exact for every modulus.
 
 Propagation is linear in the number of edges.  Summing gain/encoder
 products over every source-destination path gives the same grid; that
@@ -24,6 +27,7 @@ formulation lives in the test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,40 +81,51 @@ def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
     fm = ln.base.field
     roles = {"C": ("encoder", code.encoders), "F": ("relay", code.relays),
              "D": ("decoder", code.decoders)}
-    for kind, key, rows, cols in ln._code_shapes:
-        role, mats = roles[kind]
-        mat = mats.get(key)
+    slots, _ = ln._code_layout
+    for slot in slots:
+        role, mats = roles[slot.kind]
+        mat = mats.get(slot.key)
         if mat is None:
-            raise CodeBindingError(f"{role} {key!r} is missing")
-        if mat.shape != (rows, cols) or mat.field != fm:
+            raise CodeBindingError(f"{role} {slot.key!r} is missing")
+        if mat.shape != (slot.rows, slot.cols) or mat.field != fm:
             raise CodeBindingError(
-                f"{role} {key!r} is {mat.shape} over {mat.field}, expected {(rows, cols)} over {fm}"
+                f"{role} {slot.key!r} is {mat.shape} over {mat.field}, "
+                f"expected {(slot.rows, slot.cols)} over {fm}"
             )
-    if sum(len(mats) for _, mats in roles.values()) > len(ln._code_shapes):
-        slots = {(kind, key) for kind, key, _, _ in ln._code_shapes}
+    if sum(len(mats) for _, mats in roles.values()) > len(slots):
+        keys = {(slot.kind, slot.key) for slot in slots}
         role, key = next(
             (role, key) for kind, (role, mats) in roles.items() for key in mats
-            if (kind, key) not in slots
+            if (kind, key) not in keys
         )
         raise CodeBindingError(f"{role} {key!r} has no slot in the network")
 
 
-def _propagate(
+def _arrivals(
     ln: LayeredNetwork,
-    sent: Mapping[str, np.ndarray],
+    encoders: Mapping[int, np.ndarray],
     relays: Mapping[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Push layer-0 transmissions through the network to the final layer.
+    count: int,
+):
+    """Yield (session, Y_k, lo, hi) for every session, in id order.
 
-    ``sent`` maps layer-0 nodes to (batch, q, cols) transmissions and
-    ``relays`` maps every relay node to a (batch, q, q) stack or one
-    (q, q) matrix shared by the batch; all arrays hold int64 residues.
-    Each node sums its gain-weighted inputs in one
-    :func:`~ldnc.gf_linalg.matmul_mod` call; nodes nothing reaches are
-    left out of the returned final-layer arrivals.
+    ``encoders`` maps session ids to (count, q, len_k) stacks and
+    ``relays`` maps every relay node to a (count, q, q) stack; either may
+    be one matrix shared by the batch instead, and all hold int64
+    residues.  Session k's encoder fills columns lo..hi of its source's
+    transmission, so one pass through the layers gives destination k the
+    (count, q, sum of len_l) arrival Y_k = [Y_k1 ... Y_kn], or None when
+    nothing reaches it.  Each node sums its gain-weighted inputs in one
+    :func:`~ldnc.gf_linalg.matmul_mod` call, and each relay applies its
+    matrix in another.
     """
     p = ln.base.field.p
-    transmitted = sent
+    sessions = ln.base.sessions_sorted()
+    cuts = list(accumulate((ln.message_length(s) for s in sessions), initial=0))
+    shape = (count, ln.base.q, cuts[-1])
+    transmitted = {s.source: np.zeros(shape, dtype=np.int64) for s in sessions}
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        transmitted[s.source][:, :, lo:hi] = encoders[s.id]
     arrived: dict[str, np.ndarray] = {}
     for layer in range(1, ln.horizon + 1):
         arrived = {}
@@ -124,7 +139,8 @@ def _propagate(
                 arrived[v] = matmul_mod(p, *pairs)
         if layer < ln.horizon:
             transmitted = {v: matmul_mod(p, (relays[v], y)) for v, y in arrived.items()}
-    return arrived
+    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
+        yield s, arrived.get(s.destination), lo, hi
 
 
 def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
@@ -190,25 +206,17 @@ def simulate(
                 f"message for session {s.id} has shape {w.shape}, "
                 f"expected ({ln.message_length(s)}, {ncols})"
             )
-    fm = ln.base.field
-    by_id = {s.id: w.to_array() for s, w in zip(sessions, messages)}
-    sent = {}
-    for node in ln.nodes_at(0):
-        pairs = [
-            (code.encoders[s.id].to_array(), by_id[s.id])
-            for s in ln.base.sessions_sourced_at(node)
-        ]
-        if pairs:
-            sent[node] = matmul_mod(fm.p, *pairs)[np.newaxis]
-    relays = {node: m.to_array() for node, m in code.relays.items()}
-    arrived = _propagate(ln, sent, relays)
+    p = ln.base.field.p
+    # W: the messages stacked in the column order of every arrival Y_k
+    stacked = np.concatenate([w.to_array() for w in messages]) if messages else None
+    encoders = {k: m.to_array() for k, m in code.encoders.items()}
+    relays = {v: m.to_array() for v, m in code.relays.items()}
     out = []
-    for s in sessions:
-        y = arrived.get(s.destination)
+    for s, y, _, _ in _arrivals(ln, encoders, relays, 1):
         rec = np.zeros((ln.message_length(s), ncols), dtype=np.int64)
         if y is not None:
-            rec = matmul_mod(fm.p, (code.decoders[s.id].to_array(), y[0]))
-        out.append(GfMatrix(fm, rec))
+            rec = matmul_mod(p, (code.decoders[s.id].to_array(), matmul_mod(p, (y[0], stacked))))
+        out.append(GfMatrix(ln.base.field, rec))
     return out
 
 

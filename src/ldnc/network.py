@@ -264,12 +264,14 @@ def reciprocal(n: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CodeSlot:
     """One matrix of a code, placed among a candidate index's base-p digits.
 
     ``kind`` is ``C`` (encoder), ``F`` (relay) or ``D`` (decoder), ``key``
     its session id or node, and ``offset`` the digit of its first entry.
+    Slots are read-only by convention: a frozen dataclass takes about four
+    times as long to build, and every fresh network builds its table.
     """
 
     kind: str
@@ -315,25 +317,20 @@ class LayeredNetwork:
         )
 
     @cached_property
-    def _code_shapes(self) -> tuple[tuple[str, object, int, int], ...]:
-        """(kind, key, rows, cols) of every matrix of a code, the one
-        description of a code's shape: encoders in session order, relays
-        in node order, decoders in session order."""
+    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
+        """The one description of a code: a slot per matrix, encoders in
+        session order, relays in node order and decoders in session order,
+        each row-major from its offset, and the count of all entries."""
         q = self.base.q
         sessions = self.base.sessions_sorted()
-        return tuple(
+        shapes = (
             [("C", s.id, q, self.message_length(s)) for s in sessions]
             + [("F", v, q, q) for v in self._relay_nodes]
             + [("D", s.id, self.message_length(s), q) for s in sessions]
         )
-
-    @cached_property
-    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
-        """Slots of a code's free entries and their count: the matrices of
-        :attr:`_code_shapes` in order, each row-major."""
         slots = []
         offset = 0
-        for kind, key, rows, cols in self._code_shapes:
+        for kind, key, rows, cols in shapes:
             slots.append(CodeSlot(kind, key, rows, cols, offset))
             offset += rows * cols
         return tuple(slots), offset

@@ -22,12 +22,15 @@ without propagating anything, and the scan of pairs stops as soon as no
 later pair can beat the best index found.
 
 Both searches lay a batch out the same way: candidates become one
-(entries, batch) int64 digit array, and every session is pushed through
-the one propagation kernel of :mod:`ldnc.coding` at once, as the column
-block of its message in one shared transmission.  :func:`random_search`
-sends its sampled trials, decoders included, in batches of 1, 2, 4, ...
-candidates and checks the drawn D_k . Y_k = E_k destination by
-destination, only on the candidates that passed the earlier ones.
+(entries, batch) int64 digit array, whose encoder and relay stacks go
+to the one propagation kernel, :func:`ldnc.coding._arrivals`, which
+:func:`~ldnc.coding.simulate` runs too.  It sends every session as the
+column block of its message in one shared transmission and yields each
+Y_k; the selectors E_k and the decoder checks stay here.
+:func:`random_search` sends its sampled trials, decoders included, in
+batches of 1, 2, 4, ... candidates and checks the drawn D_k . Y_k = E_k
+destination by destination, only on the candidates that passed the
+earlier ones.
 Every product, in the kernel and in the decoder checks, is one
 :func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
 fits it, Python integers otherwise, so the search is exact for every
@@ -39,11 +42,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .coding import LinearCode, _propagate, is_solving
+from .coding import LinearCode, _arrivals, is_solving
 from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, lowest_solutions, matmul_mod
 from .network import LayeredNetwork
 
@@ -83,9 +85,10 @@ def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
     fm = ln.base.field
     # a copy, so that no returned matrix keeps a whole batch alive
     digits = np.array(entries, dtype=np.int64)[:, np.newaxis]
-    blocks: dict[str, dict] = {"C": {}, "D": {}, "F": {}}
-    for (kind, key), stack in _stacks(slots, digits).items():
-        blocks[kind][key] = GfMatrix(fm, stack[0])
+    blocks = {
+        kind: {key: GfMatrix(fm, stack[0]) for key, stack in mats.items()}
+        for kind, mats in _stacks(slots, digits).items()
+    }
     return LinearCode(
         network=ln, encoders=blocks["C"], decoders=blocks["D"], relays=blocks["F"]
     )
@@ -141,55 +144,41 @@ def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return stack if rows.size == len(stack) else stack[rows]
 
 
-def _stacks(slots, digits: np.ndarray) -> dict[tuple[str, object], np.ndarray]:
-    """(batch, rows, cols) views of the given slots' matrices in (entries, batch) digits."""
+def _stacks(slots, digits: np.ndarray) -> dict[str, dict[object, np.ndarray]]:
+    """(batch, rows, cols) views of the given slots' matrices in (entries,
+    batch) digits, keyed by slot kind and then by slot key."""
     count = digits.shape[1]
-    return {
-        (slot.kind, slot.key): digits[slot.offset:slot.offset + slot.rows * slot.cols]
-        .reshape(slot.rows, slot.cols, count)
-        .transpose(2, 0, 1)
-        for slot in slots
-    }
-
-
-def _arrivals(ln: LayeredNetwork, mats, count: int):
-    """Yield (session, Y_k, E_k) for every session of nonzero width, in id order.
-
-    Session k's encoder fills columns lo..hi of its source's transmission,
-    so one propagation of the batch gives destination k the arrival
-    Y_k = [Y_k1 ... Y_kn] (None when nothing reaches it), and a decoder
-    D_k solves exactly when D_k . Y_k = E_k, the identity in columns
-    lo..hi and zero elsewhere.  A 0 x q decoder has nothing to decode.
-    """
-    q = ln.base.q
-    sessions = ln.base.sessions_sorted()
-    cuts = list(accumulate((ln.message_length(s) for s in sessions), initial=0))
-    width = cuts[-1]
-    sent = {s.source: np.zeros((count, q, width), dtype=np.int64) for s in sessions}
-    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        sent[s.source][:, :, lo:hi] = mats[("C", s.id)]
-    arrived = _propagate(ln, sent, {v: mats[("F", v)] for v in ln.relay_nodes()})
-    for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        if hi > lo:
-            yield s, arrived.get(s.destination), np.eye(hi - lo, width, lo, dtype=np.int64)
+    mats: dict[str, dict[object, np.ndarray]] = {"C": {}, "F": {}, "D": {}}
+    for slot in slots:
+        mats[slot.kind][slot.key] = (
+            digits[slot.offset:slot.offset + slot.rows * slot.cols]
+            .reshape(slot.rows, slot.cols, count)
+            .transpose(2, 0, 1)
+        )
+    return mats
 
 
 def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
     """Boolean solving mask of a batch of candidates given as (entries, batch) digits.
 
-    The batch is propagated once through :func:`_arrivals`; destination by
-    destination, the drawn D_k . Y_k = E_k is then checked only on the
-    candidates that passed every earlier destination.
+    The batch is propagated once through :func:`~ldnc.coding._arrivals`;
+    destination by destination, the drawn D_k . Y_k = E_k is then checked
+    only on the candidates that passed every earlier destination.  E_k is
+    the identity in session k's columns lo..hi of Y_k and zero elsewhere;
+    a 0 x q decoder has nothing to decode.
     """
     p = ln.base.field.p
     count = digits.shape[1]
     mats = _stacks(slots, digits)
     alive = np.arange(count)
-    for s, y, target in _arrivals(ln, mats, count):
+    for s, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
+        if hi == lo:
+            continue
         if y is None:
             alive = alive[:0]
             break
-        gamma = matmul_mod(p, (_take(mats[("D", s.id)], alive), _take(y, alive)))
+        target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
+        gamma = matmul_mod(p, (_take(mats["D"][s.id], alive), _take(y, alive)))
         alive = alive[(gamma == target).all(axis=(1, 2))]
         if not alive.size:
             break
@@ -255,18 +244,22 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
 def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
     """(d, cf) of the lowest solving index among pairs start .. start+count-1.
 
-    On the batch's arrivals from :func:`_arrivals`, the lowest D_k solving
-    D_k . Y_k = E_k is found by batched elimination, session by session,
-    on the pairs still solvable.  Returns None when no pair can solve.
+    On the batch's arrivals from :func:`~ldnc.coding._arrivals`, the
+    lowest D_k solving D_k . Y_k = E_k is found by batched elimination,
+    session by session, on the pairs still solvable; a session of width 0
+    has nothing to decode.  Returns None when no pair can solve.
     """
     p = ln.base.field.p
     digits = _candidate_digits(start, count, pairs_entries, p)
     mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
     alive = np.arange(count)
     solutions: list[np.ndarray] = []
-    for _, y, target in _arrivals(ln, mats, count):
+    for _, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
+        if hi == lo:
+            continue
         if y is None:
             return None
+        target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
         ok, x = lowest_solutions(_take(y, alive), target, p)
         alive = alive[ok]
         if not alive.size:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ldnc.coding import LinearCode, is_solving, simulate, transfer_matrices
 from ldnc.errors import CodeBindingError
 from ldnc.gf_linalg import FieldModulus, GfMatrix, identity, zeros
-from ldnc.network import detect_layers
+from ldnc.network import detect_layers, network
 
 from helpers import (
     all_message_tuples,
@@ -296,22 +296,40 @@ def test_propagation_equals_path_sum_on_random_instances():
           suppress_health_check=[HealthCheck.too_slow])
 def test_simulate_transfer_and_path_sum_agree(seed, p):
     # simulate on unit messages spells out the transfer grid: column block
-    # l of the reconstruction of message k is grid[l][k].  At p = 2**31 - 1
-    # sums of three or more products take the exact branch.
+    # l of the reconstruction of message k is grid[l][k].  On random
+    # multi-column messages W_l it is the sum of grid[l][k] . W_l, which a
+    # transposed or permuted W would break.  Beside a random instance run
+    # the layout edge cases and a network whose sessions all have width 0.
+    # At p = 2**31 - 1 sums of three or more products take the exact branch.
     rng = random.Random(seed)
-    ln = random_layered_instance(
-        rng, p_choices=(p,), horizon_choices=(1, 2, 3), max_per_layer=3
-    )
-    code = random_code(ln, rng)
-    grid = transfer_matrices(ln, code).grid
-    assert grid == path_sum_transfer(ln, code).grid
-    lengths = [ln.message_length(s) for s in ln.base.sessions_sorted()]
-    cuts = np.cumsum([0, *lengths])
-    unit = np.eye(int(cuts[-1]), dtype=np.int64)
-    messages = [GfMatrix(ln.base.field, unit[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    for k, out in enumerate(simulate(ln, code, messages)):
-        for l, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            assert out.to_array()[:, lo:hi].tolist() == grid[l][k].to_rows()
+    fm = FieldModulus(p)
+    q = rng.choice((1, 2))
+    all_width_zero = detect_layers(network(
+        p, q, ["a", "b"], [("a", "b", identity(fm, q))], [(1, "a", "b", 0), (2, "a", "b", 0)]
+    ))
+    instances = [
+        random_layered_instance(rng, p_choices=(p,), horizon_choices=(1, 2, 3), max_per_layer=3),
+        *layout_edge_cases(p, q),
+        all_width_zero,
+    ]
+    for ln in instances:
+        code = random_code(ln, rng)
+        grid = transfer_matrices(ln, code).grid
+        assert grid == path_sum_transfer(ln, code).grid
+        lengths = [ln.message_length(s) for s in ln.base.sessions_sorted()]
+        cuts = np.cumsum([0, *lengths])
+        unit = np.eye(int(cuts[-1]), dtype=np.int64)
+        messages = [GfMatrix(fm, unit[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        for k, out in enumerate(simulate(ln, code, messages)):
+            for l, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                assert out.to_array()[:, lo:hi].tolist() == grid[l][k].to_rows()
+        cols = rng.randint(1, 4)
+        messages = random_messages(ln, rng, cols=cols)
+        for k, out in enumerate(simulate(ln, code, messages)):
+            want = zeros(fm, lengths[k], cols)
+            for l, w in enumerate(messages):
+                want = want + grid[l][k] @ w
+            assert out == want
 
 
 def test_is_solving_invariant_under_relay_relabeling():

@@ -173,7 +173,7 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
     pairs_entries = total - 2 * 2  # the decoders are two 1 x 2 matrices
     below = _decoder_floor(ln, slots, pairs_entries, candidate_count(ln)) * 2**pairs_entries
     wide = width_network(3, 1, (2,))
-    monkeypatch.setattr(search, "_propagate", refuse)
+    monkeypatch.setattr(search, "_arrivals", refuse)
     result = exhaustive_search(ln, budget=below)
     assert (result.outcome, result.scanned) == ("budget-exceeded", below)
     result = exhaustive_search(wide, budget=candidate_count(wide))
