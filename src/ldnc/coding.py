@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CodeBindingError
-from .gf_linalg import GfMatrix, is_kronecker_delta_identity, matmul_mod
+from .gf_linalg import FieldModulus, GfMatrix, is_kronecker_delta_identity, matmul_mod
 from .network import LayeredNetwork, Session
 
 
@@ -99,6 +99,25 @@ def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
             if (kind, key) not in keys
         )
         raise CodeBindingError(f"{role} {key!r} has no slot in the network")
+
+
+def _check_messages(
+    sessions: Sequence[Session], horizon: int, field: FieldModulus,
+    messages: Sequence[GfMatrix], error: type[Exception],
+) -> int:
+    """Raise ``error`` unless ``messages`` holds one matrix per session, in
+    the order of ``sessions``, with ``width * horizon`` rows, one column
+    count shared by all and over ``field``; return that count (1 if none)."""
+    if len(messages) != len(sessions):
+        raise error(f"expected {len(sessions)} message vectors, got {len(messages)}")
+    ncols = messages[0].cols if messages else 1
+    for s, w in zip(sessions, messages):
+        want = (s.width * horizon, ncols)
+        if w.shape != want:
+            raise error(f"message for session {s.id} has shape {w.shape}, expected {want}")
+        if w.field != field:
+            raise error(f"message for session {s.id} is over {w.field}, expected {field}")
+    return ncols
 
 
 def _arrivals(
@@ -189,24 +208,15 @@ def simulate(
 ) -> list[GfMatrix]:
     """Run the network on concrete messages and return the reconstructions.
 
-    ``messages[i]`` belongs to the i-th session in id order and must have
-    ``width * horizon`` rows; multiple columns are carried through in one
-    pass, which batches a whole message ensemble.
+    ``messages[i]`` belongs to the i-th session in id order, must have
+    ``width * horizon`` rows and must be over the network's field;
+    multiple columns are carried through in one pass, which batches a
+    whole message ensemble.
     """
     validate_code(ln, code)
-    sessions = ln.base.sessions_sorted()
-    if len(messages) != len(sessions):
-        raise CodeBindingError(
-            f"expected {len(sessions)} message vectors, got {len(messages)}"
-        )
-    ncols = messages[0].cols if messages else 1
-    for s, w in zip(sessions, messages):
-        if w.rows != ln.message_length(s) or w.cols != ncols:
-            raise CodeBindingError(
-                f"message for session {s.id} has shape {w.shape}, "
-                f"expected ({ln.message_length(s)}, {ncols})"
-            )
-    p = ln.base.field.p
+    fm = ln.base.field
+    ncols = _check_messages(ln.base.sessions_sorted(), ln.horizon, fm, messages, CodeBindingError)
+    p = fm.p
     # W: the messages stacked in the column order of every arrival Y_k
     stacked = np.concatenate([w.to_array() for w in messages]) if messages else None
     encoders = {k: m.to_array() for k, m in code.encoders.items()}
@@ -216,7 +226,7 @@ def simulate(
         rec = np.zeros((ln.message_length(s), ncols), dtype=np.int64)
         if y is not None:
             rec = matmul_mod(p, (code.decoders[s.id].to_array(), matmul_mod(p, (y[0], stacked))))
-        out.append(GfMatrix(ln.base.field, rec))
+        out.append(GfMatrix(fm, rec))
     return out
 
 

@@ -33,7 +33,7 @@ import re
 
 import numpy as np
 
-from .coding import LinearCode, validate_code
+from .coding import LinearCode, _check_messages, validate_code
 from .errors import CodeBindingError, ParseError
 from .gf_linalg import MAX_DENSE_BYTES, FieldModulus, GfMatrix, as_shift_strength, shift_matrix
 from .network import Edge, LayeredNetwork, Network, Session
@@ -311,15 +311,8 @@ def parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
     extra = set(vectors) - {s.id for s in sessions}
     if extra:
         raise ParseError(f"message vectors for unknown sessions {sorted(extra)}")
-    out = []
-    for s in sessions:
-        vec = vectors[s.id]
-        want = ln.message_length(s)
-        if len(vec) != want:
-            raise ParseError(
-                f"message for session {s.id} has {len(vec)} entries, expected {want}"
-            )
-        out.append(GfMatrix(field, vec.reshape(-1, 1)))
+    out = [GfMatrix(field, vectors[s.id].reshape(-1, 1)) for s in sessions]
+    _check_messages(sessions, ln.horizon, field, out, ParseError)
     return out
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coding import LinearCode, validate_code
+from .coding import LinearCode, _check_messages, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
 from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity, matmul_mod
 from .network import (
@@ -344,25 +344,15 @@ def simulate_unlayered(
     A transmission at instant m reaches its neighbors within the same
     instant, but may only depend on receptions from instants before m, so
     cycles in the graph are harmless.  Messages are listed in session-id
-    order with ``width * horizon`` rows each; extra columns batch several
-    message tuples through one run.
+    order with ``width * horizon`` rows each, over the network's field;
+    extra columns batch several message tuples through one run.
     """
     validate_scheme(n, scheme)
     horizon = scheme.horizon
     q = n.q
     fm = n.field
     sessions = n.sessions_sorted()
-    if len(messages) != len(sessions):
-        raise SchemeShapeError(
-            f"expected {len(sessions)} message vectors, got {len(messages)}"
-        )
-    ncols = messages[0].cols if messages else 1
-    for s, w in zip(sessions, messages):
-        if w.rows != s.width * horizon or w.cols != ncols:
-            raise SchemeShapeError(
-                f"message for session {s.id} has shape {w.shape}, "
-                f"expected ({s.width * horizon}, {ncols})"
-            )
+    ncols = _check_messages(sessions, horizon, fm, messages, SchemeShapeError)
     by_id = {s.id: w.to_array() for s, w in zip(sessions, messages)}
 
     # known[v]: v's own messages, then y_v[0], .., y_v[horizon-1], filled in

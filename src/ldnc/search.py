@@ -212,6 +212,8 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> i
     most significant row is the smallest nonzero row e_0, and each row
     above it the smallest row independent of those below.  Returns None
     when some session is wider than q, so that no decoder can solve.
+    The sum stops as soon as it passes ``cap``, so a later session is not
+    looked at: either answer leaves nothing to scan.
     """
     p = ln.base.field.p
     floor = 0
@@ -221,9 +223,10 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> i
         if slot.rows > slot.cols:
             return None
         base = slot.offset - pairs_entries
-        floor += sum(
-            _power(p, base + r * slot.cols + slot.rows - 1 - r, cap) for r in range(slot.rows)
-        )
+        for r in range(slot.rows):
+            floor += _power(p, base + r * slot.cols + slot.rows - 1 - r, cap)
+            if floor > cap:
+                return floor
     return floor
 
 

@@ -216,6 +216,19 @@ def test_search_on_a_huge_code_space_exits_1_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_search_on_a_session_of_width_one_billion_exits_1_at_once(tmp_path):
+    # the decoder floor built one power per decoder row, 10^9 of them
+    net = tmp_path / "wide.net"
+    net.write_text(
+        "p: 3\nq: 1000000000\nnodes: a b\nedges:\nsessions: 1: a -> b width 1000000000\n"
+    )
+    start = time.perf_counter()
+    result = invoke("search", str(net), "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome budget-exceeded\nscanned 1000000\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):
     from ldnc import search
 

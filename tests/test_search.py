@@ -230,6 +230,17 @@ def test_huge_code_spaces_are_decided_without_building_their_size():
     assert time.perf_counter() - start < 0.5
 
 
+def test_decoder_floor_stops_summing_once_it_passes_the_budget(monkeypatch):
+    # q = width = 100,000 over GF(3): the floor passes the budget at the
+    # decoder's first row, yet one power was built for each of its rows
+    power, calls = search._power, []
+    monkeypatch.setattr(search, "_power", lambda *args: calls.append(args) or power(*args))
+    ln = detect_layers(network(3, 100_000, ["a", "b"], [], [(1, "a", "b", 100_000)]))
+    result = exhaustive_search(ln)
+    assert (result.outcome, result.scanned) == ("budget-exceeded", 1_000_000)
+    assert len(calls) < 10
+
+
 def test_candidate_code_decodes_in_a_huge_space_without_building_its_size():
     # 2,000,000 free entries over GF(2^31 - 1): the power alone took 37.6 s
     import time
