@@ -26,6 +26,7 @@ dependence on messages and received history.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -124,6 +125,14 @@ def stage_name(node: str, layer: int) -> str:
     return f"{node}@{layer}"
 
 
+# The live unfoldings by (id of the original, horizon).  Values are weak, so
+# an unfolding lives exactly as long as its caller keeps it; it holds its
+# original, so a live entry's id cannot have been recycled.
+_UNFOLDINGS: weakref.WeakValueDictionary[tuple[int, int], UnfoldedNetwork] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     """Unfold ``n`` over ``horizon`` time instants into a layered network.
 
@@ -135,8 +144,14 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     ``(|E| + 1) * big**2`` int64 entries, and running the unfolding holds
     one ``big``-row int64 transmission per node and per edge.
     ``ValueError`` is raised before anything is built when either exceeds
-    ``MAX_DENSE_BYTES``.
+    ``MAX_DENSE_BYTES``.  While an unfolding of this very ``n`` over
+    ``horizon`` is alive, that object is returned instead of a new one, so
+    that :func:`lift_code` binds its code to the caller's unfolding.
     """
+    # a float horizon equal to an int one misses, and fails below as before
+    hit = _UNFOLDINGS.get((id(n), horizon)) if isinstance(horizon, int) else None
+    if hit is not None and hit.original is n:
+        return hit
     require_valid(n)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -173,9 +188,9 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     base = Network(
         field=n.field, q=big, nodes=tuple(layer_map), edges=tuple(edges), sessions=sessions
     )
-    return UnfoldedNetwork(
-        base=base, layer_map=layer_map, horizon=horizon, original=n
-    )
+    un = UnfoldedNetwork(base=base, layer_map=layer_map, horizon=horizon, original=n)
+    _UNFOLDINGS[id(n), horizon] = un
+    return un
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +210,9 @@ def _block(q: int, b: int) -> slice:
 
 def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     """Layered code on ``unfold(n, scheme.horizon)`` equivalent to the scheme.
+
+    The code is bound to the unfolding that :func:`unfold` returns, which
+    is the caller's own while the caller holds one of this ``n``.
 
     Source encoders put the contribution for instant m into block m.  The
     relay at layer m restacks its node's knowledge: block m, whose pending

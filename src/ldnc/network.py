@@ -11,6 +11,7 @@ gains and swapped session roles.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -438,9 +439,28 @@ def detect_layers(n: Network) -> LayeredNetwork:
     return LayeredNetwork(base=n, layer_map=labels, horizon=horizon)
 
 
+# The live reciprocals, both ways: a build stores id(ln) -> rln and
+# id(rln) -> ln.  Values are weak, so a reciprocal lives exactly as long as
+# its caller keeps it, and each built reciprocal takes the entry under its
+# own id along when it dies.
+_RECIPROCALS: weakref.WeakValueDictionary[int, LayeredNetwork] = weakref.WeakValueDictionary()
+
+
 def reciprocal_layered(ln: LayeredNetwork) -> LayeredNetwork:
-    """Reciprocal of a layered network, with layer m mapped to horizon - m."""
+    """Reciprocal of a layered network, with layer m mapped to horizon - m.
+
+    While the reciprocal built from this very ``ln`` is alive, that object
+    is returned instead of a new one, and the reciprocal of that
+    reciprocal is ``ln`` itself.
+    """
+    hit = _RECIPROCALS.get(id(ln))
+    # the reverse entry dies with ln, so an id recycled after ln died misses
+    if hit is not None and _RECIPROCALS.get(id(hit)) is ln:
+        return hit
     flipped = {v: ln.horizon - m for v, m in ln.layer_map.items()}
-    return LayeredNetwork(
-        base=reciprocal(ln.base), layer_map=flipped, horizon=ln.horizon
-    )
+    rln = LayeredNetwork(base=reciprocal(ln.base), layer_map=flipped, horizon=ln.horizon)
+    _RECIPROCALS[id(ln)] = rln
+    _RECIPROCALS[id(rln)] = ln
+    # else a long-lived ln would gather one entry per reciprocal dropped
+    weakref.finalize(rln, _RECIPROCALS.pop, id(rln), None)
+    return rln

@@ -32,7 +32,9 @@ def transpose_code(ln: LayeredNetwork, code: LinearCode) -> LinearCode:
     Encoders become the transposed decoders and vice versa; each relay
     keeps its node and is transposed, its input/output roles swapping
     together with the edge directions.  Applying the construction twice
-    gives back the original code.
+    gives back the original code.  The code is bound to the network that
+    :func:`~ldnc.network.reciprocal_layered` returns, which is the
+    caller's own reciprocal of ``ln`` while the caller holds one.
     """
     validate_code(ln, code)
     return LinearCode(

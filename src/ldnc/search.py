@@ -51,6 +51,8 @@ from .network import LayeredNetwork
 
 DEFAULT_BUDGET = 1_000_000
 _CHUNK = 1 << 16
+# Mersenne Twister words one getrandbits call of random_search asks for, at most
+_DRAW_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -326,11 +328,42 @@ def exhaustive_search(
     return SearchResult("budget-exceeded", None, None, bound)
 
 
+def _randrange_fill(
+    rng: random.Random, p: int, out: np.ndarray, pending: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with the next values of ``rng.randrange(p)``, in order,
+    starting with the ``pending`` ones, and return those drawn beyond it.
+
+    randrange(p) keeps the top k = p.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws again while they are p or more;
+    ``rng.getrandbits(32 * m)`` returns the next m words, the first as the
+    least significant.  Each round asks for the words that the values
+    still missing take on average, plus 32 so that a small batch seldom
+    needs a second round, and at most ``_DRAW_WORDS``, so that the
+    temporaries stay small beside ``out``.
+    """
+    k = p.bit_length()
+    have = min(pending.size, out.size)
+    out[:have] = pending[:have]
+    pending = pending[have:]
+    while have < out.size:
+        m = min(-(-((out.size - have) << k) // p) + 32, _DRAW_WORDS)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        values = words >> (32 - k)
+        values = values[values < p]
+        take = min(values.size, out.size - have)
+        out[have:have + take] = values[:take]
+        have += take
+        pending = values[take:]
+    return pending
+
+
 def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResult:
     """Sample codes uniformly; deterministic given the seed.
 
     Entries are drawn in enumeration order, one candidate per trial, so
-    equal seeds replay identical candidate sequences.  Trials are
+    equal seeds replay identical candidate sequences: the values of
+    ``random.Random(seed).randrange(p)``, taken a batch at a time.  Trials are
     evaluated in batches of 1, 2, 4, ... up to the scan chunk size, or
     less when the batch's arrays would outgrow ``MAX_DENSE_BYTES``, so a
     search that hits early draws at most twice the trials it needs.
@@ -343,12 +376,12 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     p = ln.base.field.p
     rng = random.Random(seed)
     drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
+    # values drawn for a batch beyond its entries start the next one
+    pending = np.zeros(0, dtype=np.int64)
     while drawn < trials:
         count = min(size, trials - drawn)
-        size_entries = count * total_entries
-        entries = np.fromiter(
-            (rng.randrange(p) for _ in range(size_entries)), dtype=np.int64, count=size_entries
-        )
+        entries = np.empty(count * total_entries, dtype=np.int64)
+        pending = _randrange_fill(rng, p, entries, pending)
         digits = entries.reshape(count, total_entries).T
         hits = np.flatnonzero(_solving_mask(ln, slots, digits))
         if hits.size:

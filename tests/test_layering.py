@@ -631,8 +631,10 @@ def test_unfold_object_limit_is_exact(monkeypatch):
 
 
 def test_equal_unfoldings_compare_each_shared_gain_once(monkeypatch):
+    # two equal but distinct originals, so that neither unfolding is the other
     n = triangle_network(3, 2)
-    a, b = unfold(n, 4), unfold(n, 4)
+    a, b = unfold(n, 4), unfold(triangle_network(3, 2), 4)
+    assert a is not b
     calls = []
     compare = GfMatrix.__eq__
 
@@ -730,3 +732,86 @@ def test_lift_code_refuses_relays_over_the_dense_limit_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < MAX_DENSE_BYTES // 64
+
+
+# ---------------------------------------------------------------------------
+# Live unfoldings are reused, never kept alive
+# ---------------------------------------------------------------------------
+
+
+def test_lift_code_binds_to_the_callers_unfolding(monkeypatch):
+    from ldnc.network import Network
+
+    n = triangle_network(3, 2)
+    rng = random.Random(1401)
+    scheme = random_scheme(n, 3, rng)
+    messages = [random_matrix(n.field, 3, 4, rng)]
+    un = unfold(n, 3)
+    assert unfold(n, 3) is un
+    assert unfold(n, 2) is not un
+    # only an input that an earlier build accepted can hit
+    with pytest.raises(TypeError):
+        unfold(n, 3.0)
+    lifted = lift_code(n, scheme)
+    assert lifted.network is un
+    # the code is bound to the caller's object, so no structural comparison runs
+    compared = []
+    monkeypatch.setattr(Network, "__eq__", lambda a, b: compared.append(a) or a is b)
+    assert simulate(un, lifted, messages) == simulate_unlayered(n, scheme, messages)
+    assert compared == []
+    monkeypatch.undo()
+    # an equal but distinct original gets an unfolding of its own
+    twin = triangle_network(3, 2)
+    assert unfold(twin, 3) is not un
+    assert unfold(twin, 3) == un
+
+
+def test_an_unfolding_lives_only_while_its_caller_holds_it(monkeypatch):
+    import gc
+    import weakref
+
+    from ldnc import layering
+
+    monkeypatch.setattr(layering, "_UNFOLDINGS", weakref.WeakValueDictionary())
+    n = triangle_network(3, 2)
+    scheme = random_scheme(n, 2, random.Random(1402))
+    un = unfold(n, 2)
+    lifted = lift_code(n, scheme)
+    project_code(lifted)
+    dead = weakref.ref(un)
+    del un, lifted
+    gc.collect()
+    assert dead() is None
+    assert len(layering._UNFOLDINGS) == 0
+    # the original is not kept alive by a map either
+    dead = weakref.ref(n)
+    unfold(n, 3)
+    del n
+    gc.collect()
+    assert dead() is None
+    assert len(layering._UNFOLDINGS) == 0
+
+
+def test_unfold_never_returns_the_unfolding_of_a_dead_original():
+    # originals of changing shapes are dropped, each time after its unfolding;
+    # ids freed that way are reused, and every answer must still be the
+    # unfolding of the network asked for
+    rng = random.Random(1403)
+    kept = []
+    for i in range(60):
+        p, q, horizon = (2, 1, 2) if i % 3 else (3, 2, 3)
+        n = network(
+            p, q, [f"v{j}" for j in range(2 + i % 4)],
+            [(f"v{j}", f"v{j + 1}", random_matrix(FieldModulus(p), q, q, rng))
+             for j in range(1 + i % 4)],
+            [(1, "v0", f"v{1 + i % 4}", 1)],
+        )
+        twin = network(p, q, n.nodes, [(e.src, e.dst, e.gain) for e in n.edges], n.sessions)
+        un = unfold(n, horizon)
+        assert un.original is n
+        assert un == unfold(twin, horizon)
+        if i % 2:
+            kept.append(un)
+        del n, twin, un
+    # a kept unfolding keeps its original, and is still the answer for it
+    assert all(unfold(k.original, k.horizon) is k for k in kept)

@@ -258,3 +258,92 @@ def test_physical_reverse_keeps_gains_and_flips_layers():
     assert rev.base.edge_map()[("v2", "v1")] == shift_matrix(GF2, 3, 2)
     for v in ln.base.nodes:
         assert rev.layer_of(v) == ln.horizon - ln.layer_of(v)
+
+
+# ---------------------------------------------------------------------------
+# Live reciprocals are reused, never kept alive
+# ---------------------------------------------------------------------------
+
+
+def test_transpose_code_binds_to_the_callers_reciprocal(monkeypatch):
+    from ldnc.network import Network
+
+    ln = detect_layers(two_unicast_network())
+    code = two_unicast_code(ln)
+    rln = reciprocal_layered(ln)
+    assert reciprocal_layered(ln) is rln
+    assert reciprocal_layered(rln) is ln
+    rcode = transpose_code(ln, code)
+    assert rcode.network is rln
+    assert transpose_code(rln, rcode).network is ln
+    # both codes are bound to the caller's objects: no structural comparison
+    compared = []
+    monkeypatch.setattr(Network, "__eq__", lambda a, b: compared.append(a) or a is b)
+    assert all(verify_reciprocity(ln, code).flags().values())
+    assert all(verify_reciprocity(rln, rcode).flags().values())
+    assert compared == []
+
+
+def test_a_reciprocal_lives_only_while_its_caller_holds_it(monkeypatch):
+    import gc
+    import sys
+    import weakref
+
+    network_module = sys.modules["ldnc.network"]
+    monkeypatch.setattr(network_module, "_RECIPROCALS", weakref.WeakValueDictionary())
+    ln = detect_layers(two_unicast_network())
+    rln = reciprocal_layered(ln)
+    verify_reciprocity(ln, two_unicast_code(ln))
+    dead = weakref.ref(rln)
+    del rln
+    gc.collect()
+    assert dead() is None
+    # a source that outlives the reciprocals built for it keeps no entry
+    # for each of them
+    for _ in range(50):
+        verify_reciprocity(ln, two_unicast_code(ln))
+    assert len(network_module._RECIPROCALS) == 0
+    # the source is not kept alive by the map either
+    rln = reciprocal_layered(ln)
+    dead = weakref.ref(ln)
+    del ln
+    gc.collect()
+    assert dead() is None
+    del rln
+    gc.collect()
+    assert len(network_module._RECIPROCALS) == 0
+
+
+def test_reciprocal_layered_never_answers_for_a_dead_source():
+    # sources of changing shapes are dropped while their reciprocals are
+    # kept, so their ids are free for the next sources; every answer must
+    # still be the reciprocal of the network asked for
+    import sys
+
+    from ldnc.network import reciprocal
+
+    rng = random.Random(1404)
+    kept = []
+    for _ in range(60):
+        ln = random_layered_instance(rng)
+        rln = reciprocal_layered(ln)
+        assert rln == detect_layers(reciprocal(ln.base))
+        assert all(rln is not k for k in kept)
+        assert reciprocal_layered(rln) is ln
+        kept.append(rln)
+        del ln, rln
+    # whether an id is reused is up to the allocator, so file each kept
+    # reciprocal under a new source's id, as a reuse would leave it
+    reciprocals = sys.modules["ldnc.network"]._RECIPROCALS
+    for rln in kept:
+        ln = random_layered_instance(rng)
+        reciprocals[id(ln)] = rln
+        fresh = reciprocal_layered(ln)
+        assert fresh is not rln
+        assert fresh == detect_layers(reciprocal(ln.base))
+        assert reciprocal_layered(fresh) is ln
+    # a kept reciprocal whose source died answers with a new, equal source
+    for rln in kept:
+        back = reciprocal_layered(rln)
+        assert back == detect_layers(reciprocal(rln.base))
+        assert reciprocal_layered(back) is rln

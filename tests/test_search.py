@@ -433,6 +433,46 @@ def test_random_search_matches_per_trial_reference():
     assert late_hits > 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_random_search_draws_replay_randrange(monkeypatch, p):
+    # one getrandbits call per batch replays randrange(p) entry by entry; the
+    # values left over from one batch start the next
+    for seed, most_words in ((0, search._DRAW_WORDS), (1, search._DRAW_WORDS), (2, 7)):
+        # a cap of 7 words takes many rounds per call
+        monkeypatch.setattr(search, "_DRAW_WORDS", most_words)
+        want, rng = random.Random(seed), random.Random(seed)
+        pending, got = np.zeros(0, dtype=np.int64), []
+        for size in (1, 2, 3, 500, 4494):
+            out = np.empty(size, dtype=np.int64)
+            pending = search._randrange_fill(rng, p, out, pending)
+            got += out.tolist()
+        assert got == [want.randrange(p) for _ in range(5000)]
+    monkeypatch.undo()
+    drawn = []
+    mask = search._solving_mask
+
+    def mask_spy(ln, slots, digits):
+        drawn.extend(digits.T.ravel().tolist())
+        return mask(ln, slots, digits)
+
+    monkeypatch.setattr(search, "_solving_mask", mask_spy)
+    for ln in (identity_edge(p), identity_edge(p, q=2, width=1), *layout_edge_cases(p, 2)):
+        entries = free_entry_count(ln)
+        for seed in (0, 5, 9):
+            # 1 + 2 + ... + 64 = 127 trials end a batch; 130 cross into the next
+            for trials in (1, 3, 4, 7, 130):
+                drawn.clear()
+                got = random_search(ln, trials=trials, seed=seed)
+                want = random_search_reference(ln, trials=trials, seed=seed)
+                assert (got.outcome, got.index, got.scanned) == (
+                    want.outcome, want.index, want.scanned
+                )
+                assert got.code == want.code
+                rng = random.Random(seed)
+                assert drawn == [rng.randrange(p) for _ in range(len(drawn))]
+                assert len(drawn) >= entries * got.scanned
+
+
 def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     # a dense limit of three candidates' digits cuts every batch to a few
     # candidates: the draw order and the first hits must not depend on it
