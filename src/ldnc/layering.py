@@ -26,7 +26,6 @@ dependence on messages and received history.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,6 +35,7 @@ from .coding import LinearCode, _check_messages, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
 from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity, matmul_mod
 from .network import (
+    _DERIVED,
     Edge,
     LayeredNetwork,
     Network,
@@ -125,14 +125,6 @@ def stage_name(node: str, layer: int) -> str:
     return f"{node}@{layer}"
 
 
-# The live unfoldings by (id of the original, horizon).  Values are weak, so
-# an unfolding lives exactly as long as its caller keeps it; it holds its
-# original, so a live entry's id cannot have been recycled.
-_UNFOLDINGS: weakref.WeakValueDictionary[tuple[int, int], UnfoldedNetwork] = (
-    weakref.WeakValueDictionary()
-)
-
-
 def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     """Unfold ``n`` over ``horizon`` time instants into a layered network.
 
@@ -144,13 +136,13 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     ``(|E| + 1) * big**2`` int64 entries, and running the unfolding holds
     one ``big``-row int64 transmission per node and per edge.
     ``ValueError`` is raised before anything is built when either exceeds
-    ``MAX_DENSE_BYTES``.  While an unfolding of this very ``n`` over
-    ``horizon`` is alive, that object is returned instead of a new one, so
-    that :func:`lift_code` binds its code to the caller's unfolding.
+    ``MAX_DENSE_BYTES``.  The unfolding holds ``n``, and is the answer for
+    it while the caller keeps it, so that :func:`lift_code` binds its code
+    to the caller's unfolding.
     """
     # a float horizon equal to an int one misses, and fails below as before
-    hit = _UNFOLDINGS.get((id(n), horizon)) if isinstance(horizon, int) else None
-    if hit is not None and hit.original is n:
+    hit = _DERIVED.get((id(n), horizon)) if isinstance(horizon, int) else None
+    if hit is not None:
         return hit
     require_valid(n)
     if horizon < 1:
@@ -189,7 +181,7 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
         field=n.field, q=big, nodes=tuple(layer_map), edges=tuple(edges), sessions=sessions
     )
     un = UnfoldedNetwork(base=base, layer_map=layer_map, horizon=horizon, original=n)
-    _UNFOLDINGS[id(n), horizon] = un
+    _DERIVED[id(n), horizon] = un
     return un
 
 

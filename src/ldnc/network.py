@@ -439,28 +439,28 @@ def detect_layers(n: Network) -> LayeredNetwork:
     return LayeredNetwork(base=n, layer_map=labels, horizon=horizon)
 
 
-# The live reciprocals, both ways: a build stores id(ln) -> rln and
-# id(rln) -> ln.  Values are weak, so a reciprocal lives exactly as long as
-# its caller keeps it, and each built reciprocal takes the entry under its
-# own id along when it dies.
-_RECIPROCALS: weakref.WeakValueDictionary[int, LayeredNetwork] = weakref.WeakValueDictionary()
+# The live derived networks: unfoldings by (id(n), horizon) and reciprocals
+# by (id(ln), None).  Values are weak, so a derived network lives exactly as
+# long as its caller keeps it; each holds the object whose id keys it, so a
+# live entry's id cannot have been recycled.
+_DERIVED: weakref.WeakValueDictionary[tuple[int, int | None], LayeredNetwork] = (
+    weakref.WeakValueDictionary()
+)
 
 
 def reciprocal_layered(ln: LayeredNetwork) -> LayeredNetwork:
     """Reciprocal of a layered network, with layer m mapped to horizon - m.
 
-    While the reciprocal built from this very ``ln`` is alive, that object
-    is returned instead of a new one, and the reciprocal of that
-    reciprocal is ``ln`` itself.
+    The reciprocal holds ``ln``, and is the answer for it while the caller
+    keeps it; the reciprocal of that reciprocal is ``ln`` itself.
     """
-    hit = _RECIPROCALS.get(id(ln))
-    # the reverse entry dies with ln, so an id recycled after ln died misses
-    if hit is not None and _RECIPROCALS.get(id(hit)) is ln:
+    hit = ln.__dict__.get("_reciprocal_of") or _DERIVED.get((id(ln), None))
+    if hit is not None:
         return hit
     flipped = {v: ln.horizon - m for v, m in ln.layer_map.items()}
     rln = LayeredNetwork(base=reciprocal(ln.base), layer_map=flipped, horizon=ln.horizon)
-    _RECIPROCALS[id(ln)] = rln
-    _RECIPROCALS[id(rln)] = ln
-    # else a long-lived ln would gather one entry per reciprocal dropped
-    weakref.finalize(rln, _RECIPROCALS.pop, id(rln), None)
+    # stored as cached_property stores its values: not a field, so equality,
+    # repr and the constructor are unchanged
+    rln.__dict__["_reciprocal_of"] = ln
+    _DERIVED[id(ln), None] = rln
     return rln

@@ -33,8 +33,9 @@ def transpose_code(ln: LayeredNetwork, code: LinearCode) -> LinearCode:
     keeps its node and is transposed, its input/output roles swapping
     together with the edge directions.  Applying the construction twice
     gives back the original code.  The code is bound to the network that
-    :func:`~ldnc.network.reciprocal_layered` returns, which is the
-    caller's own reciprocal of ``ln`` while the caller holds one.
+    :func:`~ldnc.network.reciprocal_layered` returns: the caller's own
+    reciprocal of ``ln`` while the caller holds one, and the source
+    itself when ``ln`` is a reciprocal.
     """
     validate_code(ln, code)
     return LinearCode(

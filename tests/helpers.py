@@ -506,6 +506,35 @@ def three_node_unfolding_family():
                     ), horizon
 
 
+def band_reversed_code(code: LinearCode, target: LayeredNetwork) -> LinearCode:
+    """Carry a code on ``reciprocal_layered(unfold(n, T))`` onto ``target``,
+    which is ``unfold(reciprocal(n), T)``.
+
+    The two networks match under v@m -> v@(T-m) and the band reversal J,
+    which maps block b of the q(T+2) coordinates to block T+1-b: J·G·J
+    turns each transposed channel gain, which moves the sender's bottom
+    band into the receiver's top band, back into an embedded gain, and
+    leaves memory edges the identity.  So the code with encoders J·C,
+    relays J·F·J and decoders D·J, relays renamed, has the same transfer
+    grid on ``target``.
+    """
+    horizon = target.horizon
+    q = target.original.q
+    eye = np.eye(q, dtype=np.int64)
+    j = GfMatrix(target.base.field, np.kron(np.eye(horizon + 2, dtype=np.int64)[::-1], eye))
+
+    def moved(name):
+        v, m = name.rsplit("@", 1)
+        return f"{v}@{horizon - int(m)}"
+
+    return LinearCode(
+        network=target,
+        encoders={k: j @ c for k, c in code.encoders.items()},
+        decoders={k: d @ j for k, d in code.decoders.items()},
+        relays={moved(v): j @ f @ j for v, f in code.relays.items()},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: explicit sum over all source-destination paths
 # ---------------------------------------------------------------------------

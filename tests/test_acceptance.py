@@ -9,20 +9,23 @@ criterion.
 import random
 import time
 
+import numpy as np
 from click.testing import CliRunner
 
 from ldnc import corpus
 from ldnc.cli import main as cli_main
 from ldnc.coding import is_solving, simulate, transfer_matrices
+from ldnc.errors import BlockFormError
 from ldnc.fileformat import parse_code, parse_network
-from ldnc.gf_linalg import FieldModulus, flip_matrix, shift_matrix
-from ldnc.layering import lift_code, project_code, simulate_unlayered
-from ldnc.network import detect_layers, reciprocal_layered
+from ldnc.gf_linalg import FieldModulus, GfMatrix, flip_matrix, random_matrix, shift_matrix
+from ldnc.layering import lift_code, project_code, simulate_unlayered, unfold
+from ldnc.network import detect_layers, network, reciprocal, reciprocal_layered
 from ldnc.reciprocity import transpose_code, verify_reciprocity
 from ldnc.search import candidate_count, exhaustive_search, free_entry_count
 
 from helpers import (
     all_message_columns,
+    band_reversed_code,
     gf2_instance_family,
     path_sum_transfer,
     random_code,
@@ -271,3 +274,67 @@ def test_c8_search_determinism():
         assert first == second
         assert first[1] == second[1]
     _report("8 search determinism")
+
+
+# ---------------------------------------------------------------------------
+# 9. Reciprocity for networks with cycles, through the unfolding
+# ---------------------------------------------------------------------------
+
+
+def _over_large_prime(n, rng):
+    """``n``'s graph and sessions over GF(2^31 - 1), with random gains."""
+    p = 2**31 - 1
+    fm = FieldModulus(p)
+    edges = [(e.src, e.dst, random_matrix(fm, n.q, n.q, rng)) for e in n.edges]
+    return network(p, n.q, n.nodes, edges, n.sessions)
+
+
+def test_c9_reciprocity_through_the_unfolding():
+    # A time-indexed scheme on a network with cycles is lifted onto its
+    # unfolding, transposed onto the unfolding's reciprocal and carried onto
+    # the unfolding of the reciprocal network; projecting that code gives a
+    # scheme on the reciprocal whose direct time-domain run has the
+    # transposed, index-swapped transfer grid of the forward scheme.
+    start = time.monotonic()
+    rng = random.Random(99_99)
+    family = list(three_node_unfolding_family())
+    instances = family + [
+        (_over_large_prime(n, rng), horizon) for n, horizon in family[7::40]
+    ]
+    cases = solving = block_form_errors = 0
+    for n, horizon in instances:
+        rn = reciprocal(n)
+        target = unfold(rn, horizon)
+        offsets = np.cumsum([0] + [s.width * horizon for s in rn.sessions_sorted()])
+        # unit messages: each output is one row of the reciprocal's grid
+        unit = np.eye(offsets[-1], dtype=np.int64)
+        msgs = [GfMatrix(rn.field, unit[a:b]) for a, b in zip(offsets, offsets[1:])]
+        for _ in range(3):
+            lifted = lift_code(n, random_scheme(n, horizon, rng))
+            un = lifted.network
+            gamma = transfer_matrices(un, lifted)
+            rcode = transpose_code(un, lifted)
+            assert rcode.network is reciprocal_layered(un)
+            assert reciprocal_layered(rcode.network) is un
+            cases += 1
+            try:
+                rscheme = project_code(band_reversed_code(rcode, target))
+            except BlockFormError:
+                block_form_errors += 1
+                continue
+            outputs = simulate_unlayered(rn, rscheme, msgs)
+            for k, out in enumerate(outputs):
+                for l, (a, b) in enumerate(zip(offsets, offsets[1:])):
+                    assert np.array_equal(out.to_array()[:, a:b], gamma.grid[k][l].T.to_array())
+            if gamma.is_identity_delta():
+                assert outputs == msgs
+                solving += 1
+    # counted rather than skipped; README gives the reason it stays 0
+    assert block_form_errors == 0
+    elapsed = time.monotonic() - start
+    _report(
+        "9 reciprocity through the unfolding",
+        f"{len(instances)} instances ({len(instances) - len(family)} over GF(2^31-1)), "
+        f"{cases} schemes, {solving} solving, {block_form_errors} BlockFormError, "
+        f"{elapsed:.1f}s",
+    )

@@ -22,7 +22,7 @@ from ldnc.layering import (
     unfold,
     validate_scheme,
 )
-from ldnc.network import detect_layers, network, reciprocal
+from ldnc.network import detect_layers, network, reciprocal, reciprocal_layered
 
 from helpers import (
     all_message_columns,
@@ -30,6 +30,7 @@ from helpers import (
     random_scheme,
     schemes_equal,
     triangle_network,
+    two_unicast_network,
 )
 
 GF2 = FieldModulus(2)
@@ -766,13 +767,12 @@ def test_lift_code_binds_to_the_callers_unfolding(monkeypatch):
     assert unfold(twin, 3) == un
 
 
-def test_an_unfolding_lives_only_while_its_caller_holds_it(monkeypatch):
+def test_an_unfolding_lives_only_while_its_caller_holds_it():
     import gc
     import weakref
 
-    from ldnc import layering
+    from ldnc.network import _DERIVED
 
-    monkeypatch.setattr(layering, "_UNFOLDINGS", weakref.WeakValueDictionary())
     n = triangle_network(3, 2)
     scheme = random_scheme(n, 2, random.Random(1402))
     un = unfold(n, 2)
@@ -782,14 +782,18 @@ def test_an_unfolding_lives_only_while_its_caller_holds_it(monkeypatch):
     del un, lifted
     gc.collect()
     assert dead() is None
-    assert len(layering._UNFOLDINGS) == 0
-    # the original is not kept alive by a map either
+    assert (id(n), 2) not in _DERIVED
+    # the original lives while its unfolding does, and both die once dropped
+    un = unfold(n, 3)
+    key = (id(n), 3)
     dead = weakref.ref(n)
-    unfold(n, 3)
     del n
     gc.collect()
+    assert un.original is dead()
+    del un
+    gc.collect()
     assert dead() is None
-    assert len(layering._UNFOLDINGS) == 0
+    assert key not in _DERIVED
 
 
 def test_unfold_never_returns_the_unfolding_of_a_dead_original():
@@ -815,3 +819,26 @@ def test_unfold_never_returns_the_unfolding_of_a_dead_original():
         del n, twin, un
     # a kept unfolding keeps its original, and is still the answer for it
     assert all(unfold(k.original, k.horizon) is k for k in kept)
+
+
+def test_an_unfolded_or_reciprocated_network_still_pickles_and_copies():
+    import copy
+    import pickle
+
+    n = triangle_network(3, 2)
+    un = unfold(n, 2)
+    ln = detect_layers(two_unicast_network())
+    rln = reciprocal_layered(ln)
+    for x in (n, un, ln, rln):
+        assert pickle.loads(pickle.dumps(x)) == x
+    # an unpickled object or a copy is a source of its own: each answer for
+    # it equals a fresh build
+    fresh_un = unfold(triangle_network(3, 2), 2)
+    for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        n2, un2, ln2, rln2 = map(clone, (n, un, ln, rln))
+        assert unfold(n2, 2) == fresh_un
+        assert unfold(n2, 2).original is n2
+        assert unfold(un2.original, 2) == fresh_un
+        assert reciprocal_layered(un2) == detect_layers(reciprocal(un.base))
+        assert reciprocal_layered(ln2) == detect_layers(reciprocal(ln.base))
+        assert reciprocal_layered(rln2) == detect_layers(reciprocal(rln.base))

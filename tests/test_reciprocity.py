@@ -284,13 +284,12 @@ def test_transpose_code_binds_to_the_callers_reciprocal(monkeypatch):
     assert compared == []
 
 
-def test_a_reciprocal_lives_only_while_its_caller_holds_it(monkeypatch):
+def test_a_reciprocal_lives_only_while_its_caller_holds_it():
     import gc
-    import sys
     import weakref
 
-    network_module = sys.modules["ldnc.network"]
-    monkeypatch.setattr(network_module, "_RECIPROCALS", weakref.WeakValueDictionary())
+    from ldnc.network import _DERIVED
+
     ln = detect_layers(two_unicast_network())
     rln = reciprocal_layered(ln)
     verify_reciprocity(ln, two_unicast_code(ln))
@@ -299,50 +298,43 @@ def test_a_reciprocal_lives_only_while_its_caller_holds_it(monkeypatch):
     gc.collect()
     assert dead() is None
     # a source that outlives the reciprocals built for it keeps no entry
-    # for each of them
+    # for any of them
+    entries = len(_DERIVED)
     for _ in range(50):
         verify_reciprocity(ln, two_unicast_code(ln))
-    assert len(network_module._RECIPROCALS) == 0
-    # the source is not kept alive by the map either
+    assert (id(ln), None) not in _DERIVED
+    assert len(_DERIVED) == entries
+    # the source lives while its reciprocal does, and both die once dropped
     rln = reciprocal_layered(ln)
+    key = (id(ln), None)
     dead = weakref.ref(ln)
     del ln
     gc.collect()
-    assert dead() is None
+    assert reciprocal_layered(rln) is dead()
     del rln
     gc.collect()
-    assert len(network_module._RECIPROCALS) == 0
+    assert dead() is None
+    assert key not in _DERIVED
 
 
 def test_reciprocal_layered_never_answers_for_a_dead_source():
-    # sources of changing shapes are dropped while their reciprocals are
-    # kept, so their ids are free for the next sources; every answer must
-    # still be the reciprocal of the network asked for
-    import sys
-
+    # sources of changing shapes are dropped, every other one together with
+    # its reciprocal, so their ids are free for the next sources; every
+    # answer must still be the reciprocal of the network asked for
     from ldnc.network import reciprocal
 
     rng = random.Random(1404)
     kept = []
-    for _ in range(60):
+    for i in range(60):
         ln = random_layered_instance(rng)
         rln = reciprocal_layered(ln)
         assert rln == detect_layers(reciprocal(ln.base))
         assert all(rln is not k for k in kept)
         assert reciprocal_layered(rln) is ln
-        kept.append(rln)
+        if i % 2:
+            kept.append(rln)
         del ln, rln
-    # whether an id is reused is up to the allocator, so file each kept
-    # reciprocal under a new source's id, as a reuse would leave it
-    reciprocals = sys.modules["ldnc.network"]._RECIPROCALS
-    for rln in kept:
-        ln = random_layered_instance(rng)
-        reciprocals[id(ln)] = rln
-        fresh = reciprocal_layered(ln)
-        assert fresh is not rln
-        assert fresh == detect_layers(reciprocal(ln.base))
-        assert reciprocal_layered(fresh) is ln
-    # a kept reciprocal whose source died answers with a new, equal source
+    # a kept reciprocal keeps its source, and answers with it
     for rln in kept:
         back = reciprocal_layered(rln)
         assert back == detect_layers(reciprocal(rln.base))
