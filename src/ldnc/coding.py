@@ -11,12 +11,12 @@ exactly.
 :func:`simulate` and both code searches share one batched propagation
 kernel, :func:`_arrivals`: every session is the column block of its
 message in one shared transmission, so one pass gives destination k its
-arrival Y_k = [Y_k1 ... Y_kn], and :func:`simulate` returns D_k . Y_k . W
-with W the stacked messages.  :func:`transfer_matrices` keeps its own
-per-session walk, independent of the kernel, so that it can re-verify
-what the kernel finds.  Both run on int64 residue arrays and take every
-product from :func:`~ldnc.gf_linalg.matmul_mod`, which runs in int64
-when the unreduced sum fits it and on Python integers otherwise, so
+arrival Y_k = [Y_k1 ... Y_kn], all zero when nothing reaches it, and
+:func:`simulate` returns D_k . Y_k . W for the stacked messages W.  The
+independent :func:`transfer_matrices` walks one session at a time, so
+that it can re-verify what the kernel finds.  Both run on int64 residue
+arrays and take every product from :func:`~ldnc.gf_linalg.matmul_mod`:
+int64 when the unreduced sum fits it, Python integers otherwise, so
 every result is exact for every modulus.
 
 Propagation is linear in the number of edges.  Summing gain/encoder
@@ -133,7 +133,7 @@ def _arrivals(
     be one matrix shared by the batch instead, and all hold int64
     residues.  Session k's encoder fills columns lo..hi of its source's
     transmission, so one pass through the layers gives destination k the
-    (count, q, sum of len_l) arrival Y_k = [Y_k1 ... Y_kn], or None when
+    (count, q, sum of len_l) arrival Y_k = [Y_k1 ... Y_kn], all zero when
     nothing reaches it.  Each node sums its gain-weighted inputs in one
     :func:`~ldnc.gf_linalg.matmul_mod` call, and each relay applies its
     matrix in another.
@@ -158,8 +158,9 @@ def _arrivals(
                 arrived[v] = matmul_mod(p, *pairs)
         if layer < ln.horizon:
             transmitted = {v: matmul_mod(p, (relays[v], y)) for v, y in arrived.items()}
+    nothing = np.zeros(shape, dtype=np.int64)
     for s, lo, hi in zip(sessions, cuts, cuts[1:]):
-        yield s, arrived.get(s.destination), lo, hi
+        yield s, arrived.get(s.destination, nothing), lo, hi
 
 
 def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
@@ -218,16 +219,13 @@ def simulate(
     ncols = _check_messages(ln.base.sessions_sorted(), ln.horizon, fm, messages, CodeBindingError)
     p = fm.p
     # W: the messages stacked in the column order of every arrival Y_k
-    stacked = np.concatenate([w.to_array() for w in messages]) if messages else None
+    w = np.concatenate([m.to_array() for m in messages]) if messages else None
     encoders = {k: m.to_array() for k, m in code.encoders.items()}
     relays = {v: m.to_array() for v, m in code.relays.items()}
-    out = []
-    for s, y, _, _ in _arrivals(ln, encoders, relays, 1):
-        rec = np.zeros((ln.message_length(s), ncols), dtype=np.int64)
-        if y is not None:
-            rec = matmul_mod(p, (code.decoders[s.id].to_array(), matmul_mod(p, (y[0], stacked))))
-        out.append(GfMatrix(fm, rec))
-    return out
+    return [
+        GfMatrix(fm, matmul_mod(p, (code.decoders[s.id].to_array(), matmul_mod(p, (y[0], w)))))
+        for s, y, _, _ in _arrivals(ln, encoders, relays, 1)
+    ]
 
 
 def is_solving(ln: LayeredNetwork, code: LinearCode) -> bool:

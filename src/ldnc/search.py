@@ -15,22 +15,22 @@ exactly when D_k . Y_k = E_k, the selector of message k, which one
 batched GF(p) elimination (:func:`~ldnc.gf_linalg.lowest_solutions`)
 decides for a whole batch of pairs, together with the lowest such D_k.
 The first solving index is the minimum of ``d_min * p**m + cf`` over the
-solvable pairs.  A solving D_k has full row rank, so no index below
-``floor * p**m`` can solve, where ``floor`` is the lowest decoder index
-with every D_k of full rank: a budget at or below that bound is decided
-without propagating anything, and the scan of pairs stops as soon as no
-later pair can beat the best index found.
+solvable pairs.  A solving D_k has full row rank, so none exists when a
+message is longer than q, which both searches decide without drawing or
+propagating, nor any index below ``floor * p**m``, where ``floor`` is
+the lowest decoder index with every D_k of full rank: budgets at or
+below it end at once, and no pair is scanned that cannot beat the best.
 
 Both searches lay a batch out the same way: candidates become one
 (entries, batch) int64 digit array, whose encoder and relay stacks go
 to the one propagation kernel, :func:`ldnc.coding._arrivals`, which
 :func:`~ldnc.coding.simulate` runs too.  It sends every session as the
 column block of its message in one shared transmission and yields each
-Y_k; the selectors E_k and the decoder checks stay here.
-:func:`random_search` sends its sampled trials, decoders included, in
-batches of 1, 2, 4, ... candidates and checks the drawn D_k . Y_k = E_k
-destination by destination, only on the candidates that passed the
-earlier ones.
+Y_k, all zero when nothing reaches d_k; the selectors E_k and the
+decoder checks stay here.  :func:`random_search` sends its sampled
+trials, decoders included, in batches of 1, 2, 4, ... candidates and
+checks the drawn D_k . Y_k = E_k destination by destination, only on
+the candidates that passed the earlier ones.
 Every product, in the kernel and in the decoder checks, is one
 :func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
 fits it, Python integers otherwise, so the search is exact for every
@@ -64,7 +64,8 @@ class SearchResult:
     hits ``index`` is the candidate index; for random hits it is the
     1-based trial number.  ``scanned`` counts the candidates decided:
     index + 1 for an exhaustive hit and the bound min(space, budget)
-    otherwise, or the trials drawn by a random search.
+    otherwise; for a random search the trials drawn, or all of them when
+    no code can solve.
     """
 
     outcome: str
@@ -166,8 +167,9 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
     The batch is propagated once through :func:`~ldnc.coding._arrivals`;
     destination by destination, the drawn D_k . Y_k = E_k is then checked
     only on the candidates that passed every earlier destination.  E_k is
-    the identity in session k's columns lo..hi of Y_k and zero elsewhere;
-    a 0 x q decoder has nothing to decode.
+    the identity in session k's columns lo..hi of Y_k and zero elsewhere.
+    A 0 x q decoder has nothing to decode, and a zero Y_k fails without
+    its product, which costs len_k times as much as the zero test.
     """
     p = ln.base.field.p
     count = digits.shape[1]
@@ -176,10 +178,8 @@ def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
     for s, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
         if hi == lo:
             continue
-        if y is None:
-            alive = alive[:0]
-            break
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
+        alive = alive[_take(y, alive).any(axis=(1, 2))]
         gamma = matmul_mod(p, (_take(mats["D"][s.id], alive), _take(y, alive)))
         alive = alive[(gamma == target).all(axis=(1, 2))]
         if not alive.size:
@@ -206,14 +206,19 @@ def _power(p: int, e: int, cap: int) -> int:
     return p**e if e < cap.bit_length() else cap + 1
 
 
-def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> int | None:
+def _undecodable(slots) -> bool:
+    """True when a decoder has more rows than columns, so no code can solve."""
+    return any(slot.kind == "D" and slot.rows > slot.cols for slot in slots)
+
+
+def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> int:
     """Lowest decoder index d at which every D_k has full row rank, or
     a stand-in above ``cap`` when d exceeds it.
 
     The lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
     most significant row is the smallest nonzero row e_0, and each row
-    above it the smallest row independent of those below.  Returns None
-    when some session is wider than q, so that no decoder can solve.
+    above it the smallest row independent of those below; when a message
+    is longer than q, the bound holds vacuously (see :func:`_undecodable`).
     The sum stops as soon as it passes ``cap``, so a later session is not
     looked at: either answer leaves nothing to scan.
     """
@@ -222,8 +227,6 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> i
     for slot in slots:
         if slot.kind != "D":
             continue
-        if slot.rows > slot.cols:
-            return None
         base = slot.offset - pairs_entries
         for r in range(slot.rows):
             floor += _power(p, base + r * slot.cols + slot.rows - 1 - r, cap)
@@ -262,8 +265,6 @@ def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
     for _, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
         if hi == lo:
             continue
-        if y is None:
-            return None
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
         ok, x = lowest_solutions(_take(y, alive), target, p)
         alive = alive[ok]
@@ -308,19 +309,18 @@ def exhaustive_search(
     pairs_entries = total_entries - sum(s.rows * s.cols for s in slots if s.kind == "D")
     pairs = _power(p, pairs_entries, budget)
     floor = _decoder_floor(ln, slots, pairs_entries, budget)
-    best = None
-    if floor is not None and floor * pairs < bound:
+    best = bound
+    if floor * pairs < bound and not _undecodable(slots):
         batch = _batch_size(ln, pairs_entries, chunk_size)
         start, stop = 0, min(pairs, bound - floor * pairs)
         # no pair from start on can give an index below floor * pairs + start
-        while start < stop and (best is None or best >= floor * pairs + start):
+        while start < stop and best >= floor * pairs + start:
             count = min(batch, stop - start)
             hit = _lowest_decoders(ln, slots, pairs_entries, start, count)
             if hit is not None:
-                index = hit[0] * pairs + hit[1]
-                best = index if best is None else min(best, index)
+                best = min(best, hit[0] * pairs + hit[1])
             start += count
-    if best is not None and best < bound:
+    if best < bound:
         code = _verified(ln, candidate_code(ln, best), f"index {best}")
         return SearchResult("found", code, best, best + 1)
     if bound == space:
@@ -368,7 +368,8 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     less when the batch's arrays would outgrow ``MAX_DENSE_BYTES``, so a
     search that hits early draws at most twice the trials it needs.
     Raises ``ValueError`` for fewer than one trial, or before drawing
-    anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``.
+    anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``;
+    past those checks, a message longer than q leaves nothing to draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -378,7 +379,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
     # values drawn for a batch beyond its entries start the next one
     pending = np.zeros(0, dtype=np.int64)
-    while drawn < trials:
+    while drawn < trials and not _undecodable(slots):
         count = min(size, trials - drawn)
         entries = np.empty(count * total_entries, dtype=np.int64)
         pending = _randrange_fill(rng, p, entries, pending)

@@ -229,6 +229,22 @@ def test_search_on_a_session_of_width_one_billion_exits_1_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_search_with_a_message_longer_than_q_exits_1_at_once(tmp_path):
+    # width 4096 over q = 2: no decoder has full row rank, so no trial can
+    # solve; each trial used to be drawn and propagated, 0.25 s apiece
+    net = tmp_path / "long.net"
+    net.write_text("p: 2\nq: 2\nnodes: a b\nedges:\n  a -> b gain shift g=1\n"
+                   "sessions:\n  1: a -> b width 4096\n")
+    start = time.perf_counter()
+    result = invoke("search", str(net), "--trials", "1000000", "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome not-found\nscanned 1000000\n"
+    result = invoke("search", str(net), "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome budget-exceeded\nscanned 1000000\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):
     from ldnc import search
 

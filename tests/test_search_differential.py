@@ -3,7 +3,8 @@
 ``exhaustive_search`` scans only (encoder, relay) pairs and solves for the
 decoders; ``exhaustive_search_reference`` evaluates every candidate index
 in order.  Both must agree on outcome, index, scanned count and code for
-every budget and chunk size.
+every budget and chunk size.  The rule that no code can solve, a message
+longer than q, is checked here against both references.
 """
 
 import itertools
@@ -15,12 +16,20 @@ import pytest
 from ldnc import search
 from ldnc.gf_linalg import FieldModulus, identity
 from ldnc.network import detect_layers, network, reciprocal_layered
-from ldnc.search import _CHUNK, _decoder_floor, candidate_count, exhaustive_search
+from ldnc.search import (
+    _CHUNK,
+    _decoder_floor,
+    _undecodable,
+    candidate_count,
+    exhaustive_search,
+    random_search,
+)
 
 from helpers import (
     exhaustive_search_reference,
     gf2_instance_family,
     random_layered_instance,
+    random_search_reference,
     record_exact_products,
 )
 
@@ -142,7 +151,7 @@ def brute_floor(p, q, widths):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
-    checked = none = 0
+    checked = undecodable = 0
     for q in (1, 2, 3):
         profiles = [(w,) for w in range(q + 2)] + [(1, 1), (0, 1), (1, 0, 1), (q, 1), (2, 1)]
         for widths in profiles:
@@ -151,15 +160,22 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
             ln = width_network(p, q, widths)
             slots, total = ln._code_layout
             pairs_entries = total - q * sum(widths)
-            want = None if max(widths) > q else brute_floor(p, q, widths)
+            # a session wider than q has no full-rank decoder: the rule
+            # decides it, and the floor is then only a vacuous bound
+            assert _undecodable(slots) == (max(widths) > q), (q, widths)
+            if max(widths) > q:
+                assert brute_floor(p, q, widths) is None
+                assert isinstance(_decoder_floor(ln, slots, pairs_entries, p**total), int)
+                undecodable += 1
+                continue
+            want = brute_floor(p, q, widths)
             assert _decoder_floor(ln, slots, pairs_entries, p**total) == want, (q, widths)
             # a cap below the floor gives a stand-in above the cap
-            for cap in range(0 if want is None else min(want, 40) + 2):
+            for cap in range(min(want, 40) + 2):
                 got = _decoder_floor(ln, slots, pairs_entries, cap)
                 assert got == want if want <= cap else cap < got <= want, (q, widths, cap)
             checked += 1
-            none += want is None
-    assert checked > 10 and none > 0
+    assert checked > 10 and undecodable == 3
 
 
 def test_floor_bound_decides_without_propagating(monkeypatch):
@@ -180,6 +196,30 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
     assert (result.outcome, result.scanned) == ("exhausted", candidate_count(wide))
     with pytest.raises(AssertionError, match="propagated"):
         exhaustive_search(ln, budget=below + 1)
+
+
+def test_random_search_decides_undecodable_sessions_without_drawing(monkeypatch):
+    # a message longer than q leaves no trial that can solve: every trial
+    # is decided at once, as the per-trial reference decides them one by one
+    instances = [width_network(3, 1, (2,)), width_network(2, 2, (1, 3))]
+    for ln in instances:
+        for seed in (0, 1):
+            for trials in (1, 2, 7, 40):
+                got = random_search(ln, trials=trials, seed=seed)
+                want = random_search_reference(ln, trials=trials, seed=seed)
+                assert (got.outcome, got.code, got.scanned) == ("not-found", None, trials)
+                assert (got.outcome, got.index, got.code, got.scanned) == (
+                    want.outcome, want.index, want.code, want.scanned
+                )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or propagated")
+
+    monkeypatch.setattr(search, "_randrange_fill", refuse)
+    monkeypatch.setattr(search, "_arrivals", refuse)
+    for ln in instances:
+        result = random_search(ln, trials=10**9)
+        assert (result.outcome, result.scanned) == ("not-found", 10**9)
 
 
 def test_wide_integer_kernel_finds_the_first_hit(monkeypatch):
