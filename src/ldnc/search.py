@@ -11,15 +11,18 @@ order is part of the public contract and results are reproducible.
 relay entries, a candidate index splits as ``d * p**m + cf``: cf numbers
 the (encoder, relay) pairs and d the decoders.  Once a pair is fixed,
 destination k receives Y_k = [Y_k1 ... Y_kn] and a decoder D_k solves
-exactly when D_k . Y_k = E_k, the selector of message k, which one
-batched GF(p) elimination (:func:`~ldnc.gf_linalg.lowest_solutions`)
-decides for a whole batch of pairs, together with the lowest such D_k.
-The first solving index is the minimum of ``d_min * p**m + cf`` over the
-solvable pairs.  A solving D_k has full row rank, so none exists when a
-message is longer than q, which both searches decide without drawing or
-propagating, nor any index below ``floor * p**m``, where ``floor`` is
-the lowest decoder index with every D_k of full rank: budgets at or
-below it end at once, and no pair is scanned that cannot beat the best.
+exactly when D_k . Y_k = E_k, the selector of message k.  A solving D_k
+has full row rank, so none exists when a message is longer than q, which
+both searches decide without drawing or propagating, nor any index below
+``floor * p**m``, where ``floor`` is the lowest decoder index with every
+D_k of full rank: budgets at or below it end at once, and no pair is
+scanned that cannot beat the best.  A batch of pairs first tries the
+floor decoders and the next few decoder indices, one after another,
+with the check that random search runs: the first pair one solves gives
+the batch's lowest index.  Only when none does, one batched GF(p)
+elimination (:func:`~ldnc.gf_linalg.lowest_solutions`) finds the lowest
+solving D_k of every pair, and the lowest index is the minimum of
+``d_min * p**m + cf`` over the solvable pairs.
 
 Both searches lay a batch out the same way: candidates become one
 (entries, batch) int64 digit array, whose encoder and relay stacks go
@@ -53,6 +56,9 @@ DEFAULT_BUDGET = 1_000_000
 _CHUNK = 1 << 16
 # Mersenne Twister words one getrandbits call of random_search asks for, at most
 _DRAW_WORDS = 1 << 14
+# decoder indices from the floor up that exhaustive search tries before it
+# solves: a try costs a small part of a solve, and misses sit near the floor
+_FLOOR_TRIES = 3
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,9 @@ def _candidate_digits(start: int, count: int, total_entries: int, p: int) -> np.
 
 
 def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The given rows of a batch stack; the stack itself when all are kept."""
-    return stack if rows.size == len(stack) else stack[rows]
+    """The given rows of a batch stack; the stack itself when all are kept
+    or when it is one matrix shared by the batch."""
+    return stack if stack.ndim == 2 or rows.size == len(stack) else stack[rows]
 
 
 def _stacks(slots, digits: np.ndarray) -> dict[str, dict[object, np.ndarray]]:
@@ -161,31 +168,37 @@ def _stacks(slots, digits: np.ndarray) -> dict[str, dict[object, np.ndarray]]:
     return mats
 
 
-def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
-    """Boolean solving mask of a batch of candidates given as (entries, batch) digits.
+def _solved(p: int, decoders, arrivals, count: int) -> np.ndarray:
+    """Indices of the ``count`` candidates with D_k . Y_k = E_k at every destination.
 
-    The batch is propagated once through :func:`~ldnc.coding._arrivals`;
-    destination by destination, the drawn D_k . Y_k = E_k is then checked
-    only on the candidates that passed every earlier destination.  E_k is
-    the identity in session k's columns lo..hi of Y_k and zero elsewhere.
-    A 0 x q decoder has nothing to decode, and a zero Y_k fails without
-    its product, which costs len_k times as much as the zero test.
+    ``arrivals`` come from :func:`~ldnc.coding._arrivals` and ``decoders``
+    maps session ids to (count, len_k, q) stacks or to one shared matrix.
+    Each destination checks only the candidates that passed the earlier
+    ones.  E_k is the identity in session k's columns lo..hi of Y_k, zero
+    elsewhere.  A 0 x q decoder has nothing to decode, and a zero Y_k
+    fails without its product, which costs len_k times the zero test.
     """
-    p = ln.base.field.p
-    count = digits.shape[1]
-    mats = _stacks(slots, digits)
     alive = np.arange(count)
-    for s, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
+    for s, y, lo, hi in arrivals:
         if hi == lo:
             continue
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
         alive = alive[_take(y, alive).any(axis=(1, 2))]
-        gamma = matmul_mod(p, (_take(mats["D"][s.id], alive), _take(y, alive)))
+        gamma = matmul_mod(p, (_take(decoders[s.id], alive), _take(y, alive)))
         alive = alive[(gamma == target).all(axis=(1, 2))]
         if not alive.size:
             break
+    return alive
+
+
+def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
+    """Boolean solving mask of a batch of candidates given as (entries,
+    batch) digits, propagated once and checked by :func:`_solved`."""
+    count = digits.shape[1]
+    mats = _stacks(slots, digits)
+    arrivals = _arrivals(ln, mats["C"], mats["F"], count)
     ok = np.zeros(count, dtype=bool)
-    ok[alive] = True
+    ok[_solved(ln.base.field.p, mats["D"], arrivals, count)] = True
     return ok
 
 
@@ -249,20 +262,34 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     return min(limit, MAX_DENSE_BYTES // (8 * per_candidate))
 
 
-def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
+def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, floor, start, count):
     """(d, cf) of the lowest solving index among pairs start .. start+count-1.
 
-    On the batch's arrivals from :func:`~ldnc.coding._arrivals`, the
-    lowest D_k solving D_k . Y_k = E_k is found by batched elimination,
-    session by session, on the pairs still solvable; a session of width 0
-    has nothing to decode.  Returns None when no pair can solve.
+    No index below ``floor * p**m`` solves and each decoder index adds
+    p**m, so the decoder indices from the floor up are tried in turn on
+    every pair, each with the check random search runs, and the first
+    pair one solves gives the lowest index.  The floor decoders, each D_k
+    the identity with its rows reversed, solve the first of all when
+    every session has width 0.  After ``_FLOOR_TRIES`` misses, batched
+    elimination finds the lowest D_k . Y_k = E_k on the same arrivals,
+    session by session, on the pairs still solvable.  Returns None when
+    no pair can solve.
     """
     p = ln.base.field.p
     digits = _candidate_digits(start, count, pairs_entries, p)
     mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
+    arrivals = list(_arrivals(ln, mats["C"], mats["F"], count))
+    entries = ln._code_layout[1] - pairs_entries
+    tries = min(_FLOOR_TRIES, _power(p, entries, floor + _FLOOR_TRIES) - floor)
+    for j, col in enumerate(_candidate_digits(floor, tries, entries, p).T):
+        tried = {s.key: col[s.offset - pairs_entries:][:s.rows * s.cols].reshape(s.rows, s.cols)
+                 for s in slots if s.kind == "D"}
+        hits = _solved(p, tried, arrivals, count)
+        if hits.size:
+            return floor + j, start + int(hits[0])
     alive = np.arange(count)
     solutions: list[np.ndarray] = []
-    for _, y, lo, hi in _arrivals(ln, mats["C"], mats["F"], count):
+    for _, y, lo, hi in arrivals:
         if hi == lo:
             continue
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
@@ -271,8 +298,6 @@ def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, start, count):
         if not alive.size:
             return None
         solutions = [sol[ok] for sol in solutions] + [x[ok]]
-    if not solutions:
-        return 0, start
     # decoder digits, least significant first; lexsort keys on the last one
     # first and keeps ties in pair order
     dec = np.concatenate([x.reshape(alive.size, -1) for x in solutions], axis=1)
@@ -316,7 +341,7 @@ def exhaustive_search(
         # no pair from start on can give an index below floor * pairs + start
         while start < stop and best >= floor * pairs + start:
             count = min(batch, stop - start)
-            hit = _lowest_decoders(ln, slots, pairs_entries, start, count)
+            hit = _lowest_decoders(ln, slots, pairs_entries, floor, start, count)
             if hit is not None:
                 best = min(best, hit[0] * pairs + hit[1])
             start += count

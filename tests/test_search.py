@@ -479,9 +479,9 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     batches = []
     lowest, mask = search._lowest_decoders, search._solving_mask
 
-    def lowest_spy(ln, slots, pairs_entries, start, count):
+    def lowest_spy(ln, slots, pairs_entries, floor, start, count):
         batches.append(count)
-        return lowest(ln, slots, pairs_entries, start, count)
+        return lowest(ln, slots, pairs_entries, floor, start, count)
 
     def mask_spy(ln, slots, digits):
         batches.append(digits.shape[1])
@@ -561,6 +561,19 @@ def test_exhaustive_first_hit_on_full_two_unicast_space():
     assert result.code.encoders[1] == swap
     assert result.code.decoders[1] == swap
     assert result.code.relays["3"].is_identity()
+    assert is_solving(ln, result.code)
+
+
+def test_two_unicast_first_hit_needs_no_elimination(monkeypatch):
+    # the first hit sits at the decoder floor, 6723942 = 102 * 2**16 + 39270,
+    # so the floor decoders find it and no batch is eliminated
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(search, "lowest_solutions", refuse)
+    ln = detect_layers(two_unicast_network())
+    result = exhaustive_search(ln, budget=2**23)
+    assert (result.outcome, result.index, result.scanned) == ("found", 6723942, 6723943)
     assert is_solving(ln, result.code)
 
 

@@ -18,8 +18,10 @@ from ldnc.gf_linalg import FieldModulus, identity
 from ldnc.network import detect_layers, network, reciprocal_layered
 from ldnc.search import (
     _CHUNK,
+    _FLOOR_TRIES,
     _decoder_floor,
     _undecodable,
+    candidate_code,
     candidate_count,
     exhaustive_search,
     random_search,
@@ -90,16 +92,23 @@ def reaches(ln, session):
 
 def test_decoder_solving_search_matches_full_candidate_scan():
     rng = random.Random(77)
+    # a hit at the decoder floor or at one of the next decoder indices is
+    # found by trying them; one further up needs elimination
     covered = {"found": 0, "exhausted": 0, "budget-exceeded": 0, "width0": 0,
-               "unreachable": 0, "chunk1": 0, "p2": 0, "p3": 0, "p5": 0}
+               "unreachable": 0, "chunk1": 0, "p2": 0, "p3": 0, "p5": 0,
+               "at_floor": 0, "near_floor": 0, "past_tries": 0}
     for ln in instances():
         space = candidate_count(ln)
         first = exhaustive_search_reference(ln, space)
         budgets = {0, 1, rng.randrange(space + 1), space}
+        slots, total = ln._code_layout
+        pairs_entries = sum(s.rows * s.cols for s in slots if s.kind != "D")
+        pairs = ln.base.field.p ** pairs_entries
         if first.outcome == "found":
             budgets |= {first.index, first.index + 1}
-        slots, total = ln._code_layout
-        pairs = ln.base.field.p ** sum(s.rows * s.cols for s in slots if s.kind != "D")
+            above = first.index // pairs - _decoder_floor(ln, slots, pairs_entries, space)
+            covered["at_floor" if not above else
+                    "near_floor" if above < _FLOOR_TRIES else "past_tries"] += 1
         chunks = (7, 64, _CHUNK) + ((1,) if pairs <= 256 else ())
         covered["chunk1"] += 1 in chunks
         covered[f"p{ln.base.field.p}"] += 1
@@ -115,6 +124,31 @@ def test_decoder_solving_search_matches_full_candidate_scan():
                 ), (ln, budget, chunk)
                 assert got.code == want.code
     assert min(covered.values()) > 0, covered
+
+
+def test_hits_near_the_decoder_floor_need_no_elimination(monkeypatch):
+    # the decoder indices floor .. floor + _FLOOR_TRIES - 1 are tried on
+    # every pair first, so a hit among them never reaches lowest_solutions
+    def refuse(*args, **kwargs):
+        raise AssertionError("eliminated")
+
+    tried = {"at_floor": 0, "near_floor": 0}
+    for ln in instances():
+        space = candidate_count(ln)
+        first = exhaustive_search_reference(ln, space)
+        slots, _ = ln._code_layout
+        pairs_entries = sum(s.rows * s.cols for s in slots if s.kind != "D")
+        if first.outcome != "found":
+            continue
+        above = first.index // ln.base.field.p**pairs_entries - _decoder_floor(
+            ln, slots, pairs_entries, space)
+        if above < _FLOOR_TRIES:
+            with monkeypatch.context() as patched:
+                patched.setattr(search, "lowest_solutions", refuse)
+                got = exhaustive_search(ln, budget=space)
+            assert (got.outcome, got.index, got.code) == ("found", first.index, first.code)
+            tried["near_floor" if above else "at_floor"] += 1
+    assert min(tried.values()) > 0, tried
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +204,11 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
                 continue
             want = brute_floor(p, q, widths)
             assert _decoder_floor(ln, slots, pairs_entries, p**total) == want, (q, widths)
+            # the floor index holds the lowest full-rank decoders: each D_k
+            # is the identity with its rows reversed, which the search tries first
+            decoders = candidate_code(ln, want * p**pairs_entries).decoders
+            for i, w in enumerate(widths):
+                assert decoders[i + 1].to_rows() == np.eye(w, q, dtype=int)[::-1].tolist()
             # a cap below the floor gives a stand-in above the cap
             for cap in range(min(want, 40) + 2):
                 got = _decoder_floor(ln, slots, pairs_entries, cap)
