@@ -19,12 +19,12 @@ boundary) are removed; ``{x}`` repeats x, ``[x]`` makes it optional::
 Any run of Unicode whitespace may separate two symbols, and none may
 split an INT or an ID.  Each matrix or vector literal is one token whose
 entries are read with one numpy call.  A shift gain is built as a dense
-q x q matrix, so a file whose shift gains would take more than
-``MAX_DENSE_BYTES`` is rejected before they are built.  README "File
-formats" has examples.  Serialization is canonical: nodes sorted, edges
-sorted by endpoint pair, sessions by id, and every gain that equals a
-shift matrix printed as ``shift g=<strength>``, so parse/print round
-trips are stable.
+q x q matrix, so ``gf_linalg.dense_capacity`` refuses, with ``ParseError``,
+a file whose shift gains would take more than ``MAX_DENSE_BYTES`` before
+they are built.  README "File formats" has examples.  Serialization is
+canonical: nodes sorted, edges sorted by endpoint pair, sessions by id,
+and every gain that equals a shift matrix printed as
+``shift g=<strength>``, so parse/print round trips are stable.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .coding import LinearCode, _check_messages, validate_code
 from .errors import CodeBindingError, ParseError
-from .gf_linalg import MAX_DENSE_BYTES, FieldModulus, GfMatrix, as_shift_strength, shift_matrix
+from .gf_linalg import FieldModulus, GfMatrix, as_shift_strength, dense_capacity, shift_matrix
 from .network import Edge, LayeredNetwork, Network, Session
 
 _RESERVED = {
@@ -145,10 +145,10 @@ def parse_network(text: str) -> Network:
     edges: list[Edge] = []
     sessions: list[Session] = []
     seen: set[str] = set()
-    shift_bytes = 0
+    shift_entries = 0
 
     def gain_matrix(field: FieldModulus) -> GfMatrix:
-        nonlocal shift_bytes
+        nonlocal shift_entries
         if ts.peek() != "shift":
             return ts.matrix(field)
         ts.next()
@@ -157,9 +157,8 @@ def parse_network(text: str) -> Network:
         strength = ts.integer()
         if q < 1 or not 0 <= strength <= q:
             raise ParseError(f"shift strength {strength} outside 0..{q}, or q < 1")
-        shift_bytes += 8 * q * q
-        if shift_bytes > MAX_DENSE_BYTES:
-            raise ParseError(f"shift gains of size {q}x{q} exceed {MAX_DENSE_BYTES} bytes")
+        shift_entries += q * q
+        dense_capacity(shift_entries, f"shift gains of size {q}x{q} need", ParseError)
         return shift_matrix(field, q, strength)
 
     while ts.peek() is not None:

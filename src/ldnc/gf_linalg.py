@@ -43,9 +43,18 @@ _MAX_MODULUS = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 # Up to this many entries one ``%`` reduces faster than ``x -= x // p * p``.
 _SMALL_REDUCE = 256
-# Largest dense int64 matrix set (in bytes) built from a compact description:
-# shift gains read from a file, or the embedded gains of an unfolding.
+# Largest dense int64 array set (in bytes) built from a compact description
 MAX_DENSE_BYTES = 1 << 28
+
+
+def dense_capacity(entries: int, what: str, error: type[Exception] = ValueError) -> int:
+    """How many sets of ``entries`` int64 entries fit in ``MAX_DENSE_BYTES``;
+    raises ``error("<what> <bytes> bytes, more than <MAX_DENSE_BYTES>")``
+    when not even one does, so that the caller builds nothing."""
+    need = 8 * entries
+    if need > MAX_DENSE_BYTES:
+        raise error(f"{what} {need} bytes, more than {MAX_DENSE_BYTES}")
+    return MAX_DENSE_BYTES // max(need, 1)
 
 
 def _is_prime(n: int) -> bool:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .coding import LinearCode, _check_messages, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
-from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, block_embed, identity, matmul_mod
+from .gf_linalg import GfMatrix, block_embed, dense_capacity, identity, matmul_mod
 from .network import (
     _DERIVED,
     Edge,
@@ -61,7 +61,7 @@ class UnlayeredLinearScheme:
 
 
 def message_block_width(n: Network, horizon: int, node: str) -> int:
-    return n._source_widths.get(node, 0) * horizon
+    return sum(s.width for s in n.sessions_sourced_at(node)) * horizon
 
 
 def _message_columns(n: Network, horizon: int, node: str) -> dict[int, slice]:
@@ -134,11 +134,11 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
     each node.  Sessions move to ``source@0`` and ``destination@horizon``.
     The copies of an edge share one embedded gain, so the gains take
     ``(|E| + 1) * big**2`` int64 entries, and running the unfolding holds
-    one ``big``-row int64 transmission per node and per edge.
-    ``ValueError`` is raised before anything is built when either exceeds
-    ``MAX_DENSE_BYTES``.  The unfolding holds ``n``, and is the answer for
-    it while the caller keeps it, so that :func:`lift_code` binds its code
-    to the caller's unfolding.
+    one ``big``-row int64 transmission per node and per edge; when either
+    outgrows ``MAX_DENSE_BYTES``, ``gf_linalg.dense_capacity`` raises
+    ``ValueError`` before anything is built.  The unfolding holds ``n``,
+    and is the answer for it while the caller keeps it, so that
+    :func:`lift_code` binds its code to the caller's unfolding.
     """
     # a float horizon equal to an int one misses, and fails below as before
     hit = _DERIVED.get((id(n), horizon)) if isinstance(horizon, int) else None
@@ -149,18 +149,12 @@ def unfold(n: Network, horizon: int) -> UnfoldedNetwork:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     q = n.q
     big = q * (horizon + 2)
-    gain_bytes = (len(n.edges) + 1) * big * big * 8
-    if gain_bytes > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"unfolding over {horizon} instants needs {gain_bytes} bytes of gains, "
-            f"more than {MAX_DENSE_BYTES}"
-        )
+    gains = len(n.edges) + 1
+    dense_capacity(gains * big * big, f"unfolding over {horizon} instants has {gains} "
+                   f"gains of size {big}x{big}, which need")
     objects = len(n.nodes) * (horizon + 1) + (len(n.nodes) + len(n.edges)) * horizon
-    if objects * big * 8 > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"unfolding over {horizon} instants has {objects} nodes and edges, whose "
-            f"transmissions need {objects * big * 8} bytes, more than {MAX_DENSE_BYTES}"
-        )
+    dense_capacity(objects * big, f"unfolding over {horizon} instants has {objects} "
+                   "nodes and edges, whose transmissions need")
     mem_gain = identity(n.field, big)
     position = {v: i for i, v in enumerate(n.nodes)}
     channels = [
@@ -212,19 +206,16 @@ def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     band, and the scheme's encoder for instant m produces the new top
     band.  Decoders read the completed history out of the state and
     bottom bands.  The ``|V| * (horizon - 1)`` relays take ``big**2``
-    int64 entries each; ``ValueError`` is raised before anything is built
-    when they exceed ``MAX_DENSE_BYTES``.
+    int64 entries each; when they outgrow ``MAX_DENSE_BYTES``,
+    ``gf_linalg.dense_capacity`` raises ``ValueError`` before anything is built.
     """
     validate_scheme(n, scheme)
     horizon = scheme.horizon
     q = n.q
     big = q * (horizon + 2)
-    relay_bytes = len(n.nodes) * (horizon - 1) * big * big * 8
-    if relay_bytes > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"lifting over {horizon} instants needs {relay_bytes} bytes of relays, "
-            f"more than {MAX_DENSE_BYTES}"
-        )
+    relays = len(n.nodes) * (horizon - 1)
+    dense_capacity(relays * big * big, f"lifting over {horizon} instants has {relays} "
+                   f"relays of size {big}x{big}, which need")
     fm = n.field
     un = unfold(n, horizon)
     top = _block(q, 0)

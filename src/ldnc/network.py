@@ -91,11 +91,6 @@ class Network:
         return _grouped(self.sessions_sorted(), lambda s: s.source)
 
     @cached_property
-    def _source_widths(self) -> dict[str, int]:
-        """Summed width of the sessions sourced at each source node."""
-        return {v: sum(s.width for s in ss) for v, ss in self._sessions_by_source.items()}
-
-    @cached_property
     def _report(self) -> ValidationReport:
         """:func:`validate`'s report, computed once: a network is immutable."""
         return validate(self)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import LinearCode, _arrivals, is_solving
-from .gf_linalg import MAX_DENSE_BYTES, GfMatrix, lowest_solutions, matmul_mod
+from .gf_linalg import GfMatrix, dense_capacity, lowest_solutions, matmul_mod
 from .network import LayeredNetwork
 
 DEFAULT_BUDGET = 1_000_000
@@ -106,16 +106,13 @@ def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
 def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
     """Decode a candidate index into its code (the enumeration contract).
 
-    Raises ``ValueError`` for an index outside the code space, or when
-    the code's int64 entries would outgrow ``MAX_DENSE_BYTES``.
+    Raises ``ValueError`` for an index outside the code space, or from
+    ``gf_linalg.dense_capacity`` for a code over ``MAX_DENSE_BYTES``.
     """
     slots, total = ln._code_layout
     if not 0 <= index < _power(ln.base.field.p, total, index):
         raise ValueError(f"candidate index {index} out of range")
-    if 8 * total > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"a code of {total} entries needs {8 * total} bytes, more than {MAX_DENSE_BYTES}"
-        )
+    dense_capacity(total, f"a code of {total} entries needs")
     entries = _candidate_digits(index, 1, total, ln.base.field.p)[:, 0]
     return _code_from_entries(ln, slots, entries)
 
@@ -191,15 +188,12 @@ def _solved(p: int, decoders, arrivals, count: int) -> np.ndarray:
     return alive
 
 
-def _solving_mask(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
-    """Boolean solving mask of a batch of candidates given as (entries,
-    batch) digits, propagated once and checked by :func:`_solved`."""
+def _solving(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
+    """Ascending indices of the solving candidates of a batch given as
+    (entries, batch) digits, propagated once and checked by :func:`_solved`."""
     count = digits.shape[1]
     mats = _stacks(slots, digits)
-    arrivals = _arrivals(ln, mats["C"], mats["F"], count)
-    ok = np.zeros(count, dtype=bool)
-    ok[_solved(ln.base.field.p, mats["D"], arrivals, count)] = True
-    return ok
+    return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
 
 
 def _verified(ln: LayeredNetwork, code: LinearCode, where: str) -> LinearCode:
@@ -249,17 +243,13 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> i
 
 
 def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
-    """Candidates per batch: at most ``limit``, and few enough that the
-    batch's int64 digits (``entries`` a candidate) and its arrival and
-    elimination arrays each stay within ``MAX_DENSE_BYTES``.  Raises
-    ``ValueError`` when not even one candidate fits."""
+    """Candidates per batch: at most ``limit``, and as many as
+    ``gf_linalg.dense_capacity`` fits of one candidate's int64 digits
+    (``entries``) or of its arrival and elimination arrays, whichever is
+    larger.  Raises ``ValueError`` when not even one candidate fits."""
     widths = [ln.message_length(s) for s in ln.base.sessions]
     per_candidate = max(entries, sum(widths) * (ln.base.q + max(widths, default=0)), 1)
-    if 8 * per_candidate > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"one candidate needs {8 * per_candidate} bytes, more than {MAX_DENSE_BYTES}"
-        )
-    return min(limit, MAX_DENSE_BYTES // (8 * per_candidate))
+    return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 
 def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, floor, start, count):
@@ -409,7 +399,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
         entries = np.empty(count * total_entries, dtype=np.int64)
         pending = _randrange_fill(rng, p, entries, pending)
         digits = entries.reshape(count, total_entries).T
-        hits = np.flatnonzero(_solving_mask(ln, slots, digits))
+        hits = _solving(ln, slots, digits)
         if hits.size:
             trial = drawn + int(hits[0]) + 1
             code = _code_from_entries(ln, slots, digits[:, hits[0]])

@@ -10,7 +10,6 @@ from ldnc import gf_linalg
 from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
 from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
 from ldnc.gf_linalg import (
-    MAX_DENSE_BYTES,
     FieldModulus,
     GfMatrix,
     identity,
@@ -24,7 +23,7 @@ from ldnc.search import (
     _CHUNK,
     _candidate_digits,
     _code_from_entries,
-    _solving_mask,
+    _solving,
     _verified,
     candidate_code,
 )
@@ -571,10 +570,11 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
 
 
 def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
-    """Boolean solving mask of candidates start .. start+count-1, decoders included."""
+    """Ascending offsets from ``start`` of the solving candidates among
+    start .. start+count-1, decoders included."""
     slots, total_entries = ln._code_layout
     digits = _candidate_digits(start, count, total_entries, ln.base.field.p)
-    return _solving_mask(ln, slots, digits)
+    return _solving(ln, slots, digits)
 
 
 def record_exact_products(monkeypatch) -> list[int]:
@@ -601,7 +601,7 @@ def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult
     bound = min(space, budget)
     for start in range(0, bound, _CHUNK):
         count = min(_CHUNK, bound - start)
-        hits = np.flatnonzero(scan_chunk(ln, start, count))
+        hits = scan_chunk(ln, start, count)
         if hits.size:
             index = start + int(hits[0])
             code = _verified(ln, candidate_code(ln, index), f"index {index}")
@@ -746,7 +746,7 @@ def reference_parse_network(text: str) -> Network:
             if not 0 <= strength <= q or q < 1:
                 raise ParseError(f"shift strength {strength} outside 0..{q}")
             shift_bytes += 8 * q * q
-            if shift_bytes > MAX_DENSE_BYTES:
+            if shift_bytes > gf_linalg.MAX_DENSE_BYTES:
                 raise ParseError("shift gains too large")
             return shift_matrix(field, q, strength)
         return ts.matrix(field)

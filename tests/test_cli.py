@@ -246,9 +246,11 @@ def test_search_with_a_message_longer_than_q_exits_1_at_once(tmp_path):
 
 
 def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):
-    from ldnc import search
+    from ldnc import gf_linalg
 
-    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8)
+    # the parse needs 32 bytes for single_edge.net's 2x2 shift gain, one
+    # candidate 64: any limit from 32 to 63 lets the search refuse
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 32)
     for extra in ([], ["--trials", "1"]):
         result = invoke("search", path("single_edge.net"), *extra)
         assert result.exit_code == 2

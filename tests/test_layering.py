@@ -618,15 +618,15 @@ def test_unfold_refuses_too_many_nodes_and_edges_before_allocating():
 
 
 def test_unfold_object_limit_is_exact(monkeypatch):
-    from ldnc import layering
+    from ldnc import gf_linalg
 
     n = triangle_network(2, 1)
     horizon = 3
     # |V|(T+1) nodes and (|V| + |E|)T edges of q(T+2) int64 rows each
     need = (3 * (horizon + 1) + 6 * horizon) * (horizon + 2) * 8
-    monkeypatch.setattr(layering, "MAX_DENSE_BYTES", need)
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", need)
     assert len(unfold(n, horizon).base.nodes) == 12
-    monkeypatch.setattr(layering, "MAX_DENSE_BYTES", need - 1)
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", need - 1)
     with pytest.raises(ValueError, match=f"need {need} bytes, more than {need - 1}"):
         unfold(n, horizon)
 
@@ -727,7 +727,7 @@ def test_lift_code_refuses_relays_over_the_dense_limit_before_allocating():
     )
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="bytes of relays"):
+        with pytest.raises(ValueError, match="relays of size 256x256, which need"):
             lift_code(n, scheme)
         _, peak = tracemalloc.get_traced_memory()
     finally:

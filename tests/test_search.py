@@ -259,9 +259,9 @@ def test_candidate_code_decodes_in_a_huge_space_without_building_its_size():
 def test_candidate_code_refuses_a_code_over_the_dense_limit(monkeypatch):
     ln = identity_edge(p=2, q=2, width=1)
     entries = free_entry_count(ln)
-    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * entries)
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * entries)
     assert candidate_code(ln, 0).encoders[1].shape == (2, 1)
-    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * entries - 1)
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * entries - 1)
     with pytest.raises(ValueError, match=f"a code of {entries} entries needs {8 * entries} bytes"):
         candidate_code(ln, 0)
 
@@ -270,7 +270,7 @@ def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
     # a pair of the exhaustive search takes 3 int64 words of arrivals and
     # elimination, a trial of the random search its 4 entries
     ln = identity_edge(p=2, q=2, width=1)
-    monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * 3 - 1)
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 3 - 1)
     with pytest.raises(ValueError, match="one candidate needs 24 bytes, more than 23"):
         exhaustive_search(ln)
     with pytest.raises(ValueError, match="one candidate needs 32 bytes, more than 23"):
@@ -314,10 +314,10 @@ def candidate_index(ln, code):
 
 def scan_mask(ln, start, count, chunk):
     """The batched verdicts of candidates start .. start+count-1, chunk by chunk."""
-    return np.concatenate([
-        scan_chunk(ln, lo, min(chunk, start + count - lo))
-        for lo in range(start, start + count, chunk)
-    ])
+    mask = np.zeros(count, dtype=bool)
+    for lo in range(start, start + count, chunk):
+        mask[lo - start + scan_chunk(ln, lo, min(chunk, start + count - lo))] = True
+    return mask
 
 
 def instance_with_sessions(rng, p, q, n_sessions):
@@ -449,13 +449,13 @@ def test_random_search_draws_replay_randrange(monkeypatch, p):
         assert got == [want.randrange(p) for _ in range(5000)]
     monkeypatch.undo()
     drawn = []
-    mask = search._solving_mask
+    solving = search._solving
 
-    def mask_spy(ln, slots, digits):
+    def solving_spy(ln, slots, digits):
         drawn.extend(digits.T.ravel().tolist())
-        return mask(ln, slots, digits)
+        return solving(ln, slots, digits)
 
-    monkeypatch.setattr(search, "_solving_mask", mask_spy)
+    monkeypatch.setattr(search, "_solving", solving_spy)
     for ln in (identity_edge(p), identity_edge(p, q=2, width=1), *layout_edge_cases(p, 2)):
         entries = free_entry_count(ln)
         for seed in (0, 5, 9):
@@ -477,18 +477,18 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     # a dense limit of three candidates' digits cuts every batch to a few
     # candidates: the draw order and the first hits must not depend on it
     batches = []
-    lowest, mask = search._lowest_decoders, search._solving_mask
+    lowest, solving = search._lowest_decoders, search._solving
 
     def lowest_spy(ln, slots, pairs_entries, floor, start, count):
         batches.append(count)
         return lowest(ln, slots, pairs_entries, floor, start, count)
 
-    def mask_spy(ln, slots, digits):
+    def solving_spy(ln, slots, digits):
         batches.append(digits.shape[1])
-        return mask(ln, slots, digits)
+        return solving(ln, slots, digits)
 
     monkeypatch.setattr(search, "_lowest_decoders", lowest_spy)
-    monkeypatch.setattr(search, "_solving_mask", mask_spy)
+    monkeypatch.setattr(search, "_solving", solving_spy)
     rng = random.Random(78)
     instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), *layout_edge_cases(2, 2)]
     while len(instances) < 8:
@@ -500,7 +500,7 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
             instances.append(ln)
     hits_past_first_batch = 0
     for ln in instances:
-        monkeypatch.setattr(search, "MAX_DENSE_BYTES", 8 * 3 * free_entry_count(ln))
+        monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 3 * free_entry_count(ln))
         space = candidate_count(ln)
         batches.clear()
         got, want = exhaustive_search(ln, budget=space), exhaustive_search_reference(ln, space)
