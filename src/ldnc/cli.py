@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from . import corpus as corpus_pkg
 from .coding import simulate, transfer_matrices
 from .errors import (
@@ -106,7 +107,7 @@ def _echo_grid(gamma, fmt, label):
 
 
 @click.group()
-@click.version_option(package_name="ldnc")
+@click.version_option(__version__, prog_name="ldnc")
 def main():
     """Model linear deterministic networks, their codes, and reciprocity."""
 

@@ -72,33 +72,33 @@ class TransferMap:
         return is_kronecker_delta_identity(self.grid)
 
 
+def _check_matrices(what: str, given: Mapping, shapes: Mapping, field: FieldModulus,
+                    error: type[Exception], complete: bool = True) -> None:
+    """One check for every matrix set a caller hands in (code, scheme, message batch): raise
+    ``error``, naming ``what`` and the key, unless each matrix in ``given`` is over ``field``
+    with the shape ``shapes`` holds under its key, and, if ``complete``, every key has one."""
+    for key, mat in given.items():
+        want = shapes.get(key)
+        if want is None:
+            raise error(f"{what} {key!r} has no slot in the network")
+        if mat.shape != want:
+            raise error(f"{what} {key!r} has shape {mat.shape}, expected {want}")
+        if mat.field != field:
+            raise error(f"{what} {key!r} is over {mat.field}, expected {field}")
+    if complete and len(given) < len(shapes):
+        key = next(key for key in shapes if key not in given)
+        raise error(f"{what} {key!r} is missing")
+
+
 def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
     """Raise :class:`CodeBindingError` unless the code holds exactly one
     matrix per slot of the network's slot layout, found by the slot's kind
     and key, with the slot's shape and over the network's field."""
     if code.network is not ln and code.network != ln:
         raise CodeBindingError("code is bound to a different network")
-    fm = ln.base.field
-    roles = {"C": ("encoder", code.encoders), "F": ("relay", code.relays),
-             "D": ("decoder", code.decoders)}
-    slots, _ = ln._code_layout
-    for slot in slots:
-        role, mats = roles[slot.kind]
-        mat = mats.get(slot.key)
-        if mat is None:
-            raise CodeBindingError(f"{role} {slot.key!r} is missing")
-        if mat.shape != (slot.rows, slot.cols) or mat.field != fm:
-            raise CodeBindingError(
-                f"{role} {slot.key!r} is {mat.shape} over {mat.field}, "
-                f"expected {(slot.rows, slot.cols)} over {fm}"
-            )
-    if sum(len(mats) for _, mats in roles.values()) > len(slots):
-        keys = {(slot.kind, slot.key) for slot in slots}
-        role, key = next(
-            (role, key) for kind, (role, mats) in roles.items() for key in mats
-            if (kind, key) not in keys
-        )
-        raise CodeBindingError(f"{role} {key!r} has no slot in the network")
+    for what, kind, mats in (("encoder", "C", code.encoders), ("relay", "F", code.relays),
+                             ("decoder", "D", code.decoders)):
+        _check_matrices(what, mats, ln._slot_shapes[kind], ln.base.field, CodeBindingError)
 
 
 def _check_messages(
@@ -111,12 +111,8 @@ def _check_messages(
     if len(messages) != len(sessions):
         raise error(f"expected {len(sessions)} message vectors, got {len(messages)}")
     ncols = messages[0].cols if messages else 1
-    for s, w in zip(sessions, messages):
-        want = (s.width * horizon, ncols)
-        if w.shape != want:
-            raise error(f"message for session {s.id} has shape {w.shape}, expected {want}")
-        if w.field != field:
-            raise error(f"message for session {s.id} is over {w.field}, expected {field}")
+    _check_matrices("message for session", {s.id: w for s, w in zip(sessions, messages)},
+                    {s.id: (s.width * horizon, ncols) for s in sessions}, field, error)
     return ncols
 
 
@@ -216,7 +212,7 @@ def simulate(
     """
     validate_code(ln, code)
     fm = ln.base.field
-    ncols = _check_messages(ln.base.sessions_sorted(), ln.horizon, fm, messages, CodeBindingError)
+    _check_messages(ln.base.sessions_sorted(), ln.horizon, fm, messages, CodeBindingError)
     p = fm.p
     # W: the messages stacked in the column order of every arrival Y_k
     w = np.concatenate([m.to_array() for m in messages]) if messages else None

@@ -33,7 +33,7 @@ import re
 
 import numpy as np
 
-from .coding import LinearCode, _check_messages, validate_code
+from .coding import LinearCode, _check_matrices, validate_code
 from .errors import CodeBindingError, ParseError
 from .gf_linalg import FieldModulus, GfMatrix, as_shift_strength, dense_capacity, shift_matrix
 from .network import Edge, LayeredNetwork, Network, Session
@@ -295,24 +295,18 @@ def serialize_code(code: LinearCode) -> str:
 def parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
     ts = _Stream(text)
     field = ln.base.field
-    vectors: dict[int, np.ndarray] = {}
+    vectors: dict[int, GfMatrix] = {}
     while ts.peek() is not None:
         ts.expect("W")
         sid = ts.integer()
         ts.expect(":")
         if sid in vectors:
             raise ParseError(f"duplicate message for session {sid}")
-        vectors[sid] = ts.vector(field)
+        vectors[sid] = GfMatrix(field, ts.vector(field).reshape(-1, 1))
     sessions = ln.base.sessions_sorted()
-    missing = [s.id for s in sessions if s.id not in vectors]
-    if missing:
-        raise ParseError(f"missing message vectors for sessions {missing}")
-    extra = set(vectors) - {s.id for s in sessions}
-    if extra:
-        raise ParseError(f"message vectors for unknown sessions {sorted(extra)}")
-    out = [GfMatrix(field, vectors[s.id].reshape(-1, 1)) for s in sessions]
-    _check_messages(sessions, ln.horizon, field, out, ParseError)
-    return out
+    _check_matrices("message for session", vectors,
+                    {s.id: (ln.message_length(s), 1) for s in sessions}, field, ParseError)
+    return [vectors[s.id] for s in sessions]
 
 
 def serialize_messages(ln: LayeredNetwork, messages) -> str:

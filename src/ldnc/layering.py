@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .coding import LinearCode, _check_messages, validate_code
+from .coding import LinearCode, _check_matrices, _check_messages, validate_code
 from .errors import BlockFormError, CodeBindingError, SchemeShapeError
 from .gf_linalg import GfMatrix, block_embed, dense_capacity, identity, matmul_mod
 from .network import (
@@ -75,38 +75,21 @@ def _message_columns(n: Network, horizon: int, node: str) -> dict[int, slice]:
 
 
 def validate_scheme(n: Network, scheme: UnlayeredLinearScheme) -> None:
+    """Raise :class:`SchemeShapeError` unless the horizon is at least 1, each
+    encoder (v, m), for a node v and an instant m before it, reads v's messages
+    and y[0..m-1], and each session has one decoder of its history, over n's field."""
     require_valid(n)
     horizon = scheme.horizon
     if horizon < 1:
         raise SchemeShapeError(f"horizon must be >= 1, got {horizon}")
-    q = n.q
     widths = {v: message_block_width(n, horizon, v) for v in n.nodes}
-    for (node, m), enc in scheme.node_encoders.items():
-        if node not in widths:
-            raise SchemeShapeError(f"encoder for unknown node {node!r}")
-        if not 0 <= m < horizon:
-            raise SchemeShapeError(f"encoder time {m} outside 0..{horizon - 1}")
-        want = (q, widths[node] + q * m)
-        if enc.shape != want:
-            raise SchemeShapeError(
-                f"encoder ({node!r}, {m}) has shape {enc.shape}, expected {want}"
-            )
-        if enc.field != n.field:
-            raise SchemeShapeError(f"encoder ({node!r}, {m}) uses a foreign modulus")
-    session_ids = {s.id for s in n.sessions}
-    if set(scheme.decoders) != session_ids:
-        raise SchemeShapeError(
-            f"decoder keys {sorted(scheme.decoders)} != session ids {sorted(session_ids)}"
-        )
-    for s in n.sessions:
-        dec = scheme.decoders[s.id]
-        want = (s.width * horizon, q * horizon)
-        if dec.shape != want:
-            raise SchemeShapeError(
-                f"decoder {s.id} has shape {dec.shape}, expected {want}"
-            )
-        if dec.field != n.field:
-            raise SchemeShapeError(f"decoder {s.id} uses a foreign modulus")
+    # encoders are optional, so only the slots of the given keys are built
+    encoders = {(v, m): (n.q, widths[v] + n.q * m)
+                for v, m in scheme.node_encoders if v in widths and 0 <= m < horizon}
+    _check_matrices("encoder", scheme.node_encoders, encoders, n.field, SchemeShapeError,
+                    complete=False)
+    decoders = {s.id: (s.width * horizon, n.q * horizon) for s in n.sessions}
+    _check_matrices("decoder", scheme.decoders, decoders, n.field, SchemeShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +196,8 @@ def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
     horizon = scheme.horizon
     q = n.q
     big = q * (horizon + 2)
-    relays = len(n.nodes) * (horizon - 1)
-    dense_capacity(relays * big * big, f"lifting over {horizon} instants has {relays} "
+    count = len(n.nodes) * (horizon - 1)
+    dense_capacity(count * big * big, f"lifting over {horizon} instants has {count} "
                    f"relays of size {big}x{big}, which need")
     fm = n.field
     un = unfold(n, horizon)

@@ -95,6 +95,23 @@ class Network:
         """:func:`validate`'s report, computed once: a network is immutable."""
         return validate(self)
 
+    @cached_property
+    def _unreachable(self) -> bool:
+        """True when no path of nonzero gains joins a session of nonzero width to d_k."""
+        for s in self.sessions:
+            # depth first, one out-edge at a time, so that few gains are tested
+            reached, stack = {s.source}, [iter(self._out_edges_by_node.get(s.source, ()))]
+            while stack and s.destination not in reached:
+                e = next(stack[-1], None)
+                if e is None:
+                    stack.pop()
+                elif e.dst not in reached and not e.gain.is_zero():
+                    reached.add(e.dst)
+                    stack.append(iter(self._out_edges_by_node.get(e.dst, ())))
+            if s.width and s.destination not in reached:
+                return True
+        return False
+
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._in_edges_by_node.get(node, ()))
 
@@ -330,6 +347,12 @@ class LayeredNetwork:
             slots.append(CodeSlot(kind, key, rows, cols, offset))
             offset += rows * cols
         return tuple(slots), offset
+
+    @cached_property
+    def _slot_shapes(self) -> dict[str, dict[object, tuple[int, int]]]:
+        """The slot layout's shapes, keyed by slot kind and then by key."""
+        slots = self._code_layout[0]
+        return {kind: {s.key: (s.rows, s.cols) for s in slots if s.kind == kind} for kind in "CFD"}
 
     def nodes_at(self, layer: int) -> list[str]:
         return list(self._nodes_by_layer.get(layer, ()))

@@ -12,8 +12,9 @@ relay entries, a candidate index splits as ``d * p**m + cf``: cf numbers
 the (encoder, relay) pairs and d the decoders.  Once a pair is fixed,
 destination k receives Y_k = [Y_k1 ... Y_kn] and a decoder D_k solves
 exactly when D_k . Y_k = E_k, the selector of message k.  A solving D_k
-has full row rank, so none exists when a message is longer than q, which
-both searches decide without drawing or propagating, nor any index below
+has full row rank, so none exists when a message is longer than q or
+when no path of nonzero gains reaches its destination, which both
+searches decide without drawing or propagating, nor any index below
 ``floor * p**m``, where ``floor`` is the lowest decoder index with every
 D_k of full rank: budgets at or below it end at once, and no pair is
 scanned that cannot beat the best.  A batch of pairs first tries the
@@ -172,15 +173,13 @@ def _solved(p: int, decoders, arrivals, count: int) -> np.ndarray:
     maps session ids to (count, len_k, q) stacks or to one shared matrix.
     Each destination checks only the candidates that passed the earlier
     ones.  E_k is the identity in session k's columns lo..hi of Y_k, zero
-    elsewhere.  A 0 x q decoder has nothing to decode, and a zero Y_k
-    fails without its product, which costs len_k times the zero test.
+    elsewhere.  A 0 x q decoder has nothing to decode.
     """
     alive = np.arange(count)
     for s, y, lo, hi in arrivals:
         if hi == lo:
             continue
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
-        alive = alive[_take(y, alive).any(axis=(1, 2))]
         gamma = matmul_mod(p, (_take(decoders[s.id], alive), _take(y, alive)))
         alive = alive[(gamma == target).all(axis=(1, 2))]
         if not alive.size:
@@ -213,9 +212,9 @@ def _power(p: int, e: int, cap: int) -> int:
     return p**e if e < cap.bit_length() else cap + 1
 
 
-def _undecodable(slots) -> bool:
-    """True when a decoder has more rows than columns, so no code can solve."""
-    return any(slot.kind == "D" and slot.rows > slot.cols for slot in slots)
+def _undecodable(ln: LayeredNetwork) -> bool:
+    """No code can solve: a message is longer than q, or nothing reaches some d_k."""
+    return ln.base._unreachable or any(ln.message_length(s) > ln.base.q for s in ln.base.sessions)
 
 
 def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> int:
@@ -325,7 +324,7 @@ def exhaustive_search(
     pairs = _power(p, pairs_entries, budget)
     floor = _decoder_floor(ln, slots, pairs_entries, budget)
     best = bound
-    if floor * pairs < bound and not _undecodable(slots):
+    if floor * pairs < bound and not _undecodable(ln):
         batch = _batch_size(ln, pairs_entries, chunk_size)
         start, stop = 0, min(pairs, bound - floor * pairs)
         # no pair from start on can give an index below floor * pairs + start
@@ -384,7 +383,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     search that hits early draws at most twice the trials it needs.
     Raises ``ValueError`` for fewer than one trial, or before drawing
     anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``;
-    past those checks, a message longer than q leaves nothing to draw.
+    past those checks, a session no code decodes leaves nothing to draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -392,9 +391,11 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     p = ln.base.field.p
     rng = random.Random(seed)
     drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
+    if _undecodable(ln):
+        return SearchResult("not-found", None, None, trials)
     # values drawn for a batch beyond its entries start the next one
     pending = np.zeros(0, dtype=np.int64)
-    while drawn < trials and not _undecodable(slots):
+    while drawn < trials:
         count = min(size, trials - drawn)
         entries = np.empty(count * total_entries, dtype=np.int64)
         pending = _randrange_fill(rng, p, entries, pending)

@@ -1,11 +1,13 @@
 import gc
 import io
 import pathlib
+import re
 import time
 
 import pytest
 from click.testing import CliRunner
 
+import ldnc
 from ldnc import corpus
 from ldnc.cli import main
 from ldnc.fileformat import parse_network
@@ -20,6 +22,23 @@ def invoke(*args):
 
 def path(name):
     return corpus.location(name)
+
+
+# ---------------------------------------------------------------------------
+# version
+# ---------------------------------------------------------------------------
+
+
+def test_version_prints_the_package_version():
+    # read from the package itself, so that it works from a source checkout
+    result = invoke("--version")
+    assert result.exit_code == 0
+    assert result.output == f"ldnc, version {ldnc.__version__}\n"
+
+
+def test_pyproject_declares_the_package_version():
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == ldnc.__version__
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +254,29 @@ def test_search_with_a_message_longer_than_q_exits_1_at_once(tmp_path):
     net = tmp_path / "long.net"
     net.write_text("p: 2\nq: 2\nnodes: a b\nedges:\n  a -> b gain shift g=1\n"
                    "sessions:\n  1: a -> b width 4096\n")
+    start = time.perf_counter()
+    result = invoke("search", str(net), "--trials", "1000000", "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome not-found\nscanned 1000000\n"
+    result = invoke("search", str(net), "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == "outcome budget-exceeded\nscanned 1000000\n"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_search_with_an_unreachable_destination_exits_1_at_once(tmp_path, monkeypatch):
+    # no edge at all, so nothing reaches b and no trial can solve; each
+    # trial used to draw and propagate 32,000,000 entries
+    from ldnc import search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or propagated")
+
+    monkeypatch.setattr(search, "_randrange_fill", refuse)
+    monkeypatch.setattr(search, "_arrivals", refuse)
+    net = tmp_path / "edgeless.net"
+    net.write_text("p: 3\nq: 4000\nnodes: a b\nedges:\nsessions: 1: a -> b width 4000\n")
+    assert len(net.read_bytes()) == 62
     start = time.perf_counter()
     result = invoke("search", str(net), "--trials", "1000000", "--format", "structured")
     assert result.exit_code == 1

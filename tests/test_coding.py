@@ -120,15 +120,19 @@ def test_validate_code_names_the_role_and_key_of_each_fault(role, key, spare, fa
     m = target[key]
     if fault == "missing":
         del target[key]
+        text = f"{role} {key!r} is missing"
     elif fault == "extra":
         target[spare] = m
-        key = spare
+        text = f"{role} {spare!r} has no slot in the network"
     elif fault == "misshapen":
         target[key] = zeros(GF2, m.rows + 1, m.cols)
+        text = f"{role} {key!r} has shape {(m.rows + 1, m.cols)}, expected {m.shape}"
     else:
         target[key] = GfMatrix(GF3, m.to_array())
-    with pytest.raises(CodeBindingError, match=f"{role} {key!r} "):
+        text = f"{role} {key!r} is over GF(3), expected GF(2)"
+    with pytest.raises(CodeBindingError) as info:
         transfer_matrices(ln, LinearCode(network=ln, **mats))
+    assert str(info.value) == text
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """One rule for a batch of messages.
 
 ``simulate``, ``simulate_unlayered`` and ``parse_messages`` check a batch
-the same way: one matrix per session in id order, ``width * horizon``
-rows each, one shared column count, over the network's field.  Each
-raises its own error class with the same text.
+the same way, through ``coding._check_matrices``: one matrix per session
+in id order, ``width * horizon`` rows each, one shared column count, over
+the network's field.  Each raises its own error class with the same text.
 """
 
 import pytest
@@ -73,8 +73,11 @@ def test_both_simulators_reject_a_bad_batch_with_one_text(case):
 
 @pytest.mark.parametrize("text, error", [
     ("W 1: [0,0]\nW 2: []\nW 3: [0]\n", BAD_BATCHES["wrong rows"][1]),
-    ("W 1: [0]\nW 2: []\n", "missing message vectors for sessions [3]"),
-], ids=["wrong rows", "wrong count"])
+    ("W 1: [0]\nW 2: []\n", "message for session 3 is missing"),
+    ("W 1: [0]\nW 4: [1]\nW 2: []\nW 3: [0]\n",
+     "message for session 4 has no slot in the network"),
+    ("W 1: [0]\nW 2: []\nW 1: [1]\nW 3: [0]\n", "duplicate message for session 1"),
+], ids=["wrong rows", "wrong count", "unknown session", "duplicate session"])
 def test_simulate_command_exits_2_on_a_bad_batch(tmp_path, text, error):
     ln = shared_source(2, 2)
     net, code, msg = (tmp_path / name for name in ("n.net", "n.code", "n.msg"))

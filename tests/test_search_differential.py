@@ -33,6 +33,7 @@ from helpers import (
     random_layered_instance,
     random_search_reference,
     record_exact_products,
+    unreachable_destination,
 )
 
 MAX_SPACE = 1 << 16
@@ -196,7 +197,7 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
             pairs_entries = total - q * sum(widths)
             # a session wider than q has no full-rank decoder: the rule
             # decides it, and the floor is then only a vacuous bound
-            assert _undecodable(slots) == (max(widths) > q), (q, widths)
+            assert _undecodable(ln) == (max(widths) > q), (q, widths)
             if max(widths) > q:
                 assert brute_floor(p, q, widths) is None
                 assert isinstance(_decoder_floor(ln, slots, pairs_entries, p**total), int)
@@ -238,9 +239,11 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
 
 
 def test_random_search_decides_undecodable_sessions_without_drawing(monkeypatch):
-    # a message longer than q leaves no trial that can solve: every trial
-    # is decided at once, as the per-trial reference decides them one by one
-    instances = [width_network(3, 1, (2,)), width_network(2, 2, (1, 3))]
+    # a message longer than q, or a destination that no path of nonzero
+    # gains reaches, leaves no trial that can solve: every trial is decided
+    # at once, as the per-trial reference decides them one by one
+    instances = [width_network(3, 1, (2,)), width_network(2, 2, (1, 3)),
+                 unreachable_destination(2, 2)]
     for ln in instances:
         for seed in (0, 1):
             for trials in (1, 2, 7, 40):
@@ -259,6 +262,9 @@ def test_random_search_decides_undecodable_sessions_without_drawing(monkeypatch)
     for ln in instances:
         result = random_search(ln, trials=10**9)
         assert (result.outcome, result.scanned) == ("not-found", 10**9)
+        space = candidate_count(ln)
+        result = exhaustive_search(ln, budget=space)
+        assert (result.outcome, result.scanned) == ("exhausted", space)
 
 
 def test_wide_integer_kernel_finds_the_first_hit(monkeypatch):
