@@ -42,7 +42,7 @@ class LinearCode:
     """Encoders, decoders and relay matrices bound to a layered network.
 
     ``encoders`` and ``decoders`` are keyed by session id and ``relays``
-    by interior node.  The network's slot layout, the one that the code
+    by interior node.  The network's code layout, the one that the code
     search enumerates, defines which matrices a code holds and their
     shapes; :func:`validate_code` checks a code against it.
     """
@@ -92,13 +92,14 @@ def _check_matrices(what: str, given: Mapping, shapes: Mapping, field: FieldModu
 
 def validate_code(ln: LayeredNetwork, code: LinearCode) -> None:
     """Raise :class:`CodeBindingError` unless the code holds exactly one
-    matrix per slot of the network's slot layout, found by the slot's kind
-    and key, with the slot's shape and over the network's field."""
+    matrix per entry of the network's code layout, found by its kind and
+    key, with the layout's shape and over the network's field."""
     if code.network is not ln and code.network != ln:
         raise CodeBindingError("code is bound to a different network")
+    shapes = ln._code_layout[0]
     for what, kind, mats in (("encoder", "C", code.encoders), ("relay", "F", code.relays),
                              ("decoder", "D", code.decoders)):
-        _check_matrices(what, mats, ln._slot_shapes[kind], ln.base.field, CodeBindingError)
+        _check_matrices(what, mats, shapes[kind], ln.base.field, CodeBindingError)
 
 
 def _check_messages(

@@ -161,7 +161,7 @@ class GfMatrix:
         return self._a
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and bool(

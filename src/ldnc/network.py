@@ -277,23 +277,6 @@ def reciprocal(n: Network) -> Network:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class CodeSlot:
-    """One matrix of a code, placed among a candidate index's base-p digits.
-
-    ``kind`` is ``C`` (encoder), ``F`` (relay) or ``D`` (decoder), ``key``
-    its session id or node, and ``offset`` the digit of its first entry.
-    Slots are read-only by convention: a frozen dataclass takes about four
-    times as long to build, and every fresh network builds its table.
-    """
-
-    kind: str
-    key: object
-    rows: int
-    cols: int
-    offset: int
-
-
 @dataclass(frozen=True, eq=False)
 class LayeredNetwork:
     """A network plus a validated layer assignment.
@@ -330,29 +313,21 @@ class LayeredNetwork:
         )
 
     @cached_property
-    def _code_layout(self) -> tuple[tuple[CodeSlot, ...], int]:
-        """The one description of a code: a slot per matrix, encoders in
-        session order, relays in node order and decoders in session order,
-        each row-major from its offset, and the count of all entries."""
+    def _code_layout(self) -> tuple[dict[str, dict[object, tuple[int, int]]], int, int]:
+        """The one description of a code: the (rows, cols) shape of each
+        matrix, by kind and then key, in digit order (encoders ``C`` by
+        session id, relays ``F`` by node, decoders ``D`` by session id,
+        each row-major), with the digit counts of the (encoder, relay)
+        pairs and of the whole code."""
         q = self.base.q
-        sessions = self.base.sessions_sorted()
-        shapes = (
-            [("C", s.id, q, self.message_length(s)) for s in sessions]
-            + [("F", v, q, q) for v in self._relay_nodes]
-            + [("D", s.id, self.message_length(s), q) for s in sessions]
-        )
-        slots = []
-        offset = 0
-        for kind, key, rows, cols in shapes:
-            slots.append(CodeSlot(kind, key, rows, cols, offset))
-            offset += rows * cols
-        return tuple(slots), offset
-
-    @cached_property
-    def _slot_shapes(self) -> dict[str, dict[object, tuple[int, int]]]:
-        """The slot layout's shapes, keyed by slot kind and then by key."""
-        slots = self._code_layout[0]
-        return {kind: {s.key: (s.rows, s.cols) for s in slots if s.kind == kind} for kind in "CFD"}
+        lengths = {s.id: self.message_length(s) for s in self.base.sessions_sorted()}
+        shapes = {
+            "C": {k: (q, w) for k, w in lengths.items()},
+            "F": dict.fromkeys(self._relay_nodes, (q, q)),
+            "D": {k: (w, q) for k, w in lengths.items()},
+        }
+        pairs = q * (sum(lengths.values()) + q * len(self._relay_nodes))
+        return shapes, pairs, pairs + q * sum(lengths.values())
 
     def nodes_at(self, layer: int) -> list[str]:
         return list(self._nodes_by_layer.get(layer, ()))

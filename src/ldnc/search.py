@@ -83,7 +83,7 @@ class SearchResult:
 
 def free_entry_count(ln: LayeredNetwork) -> int:
     """Number of free matrix entries a code for this network has."""
-    return ln._code_layout[1]
+    return ln._code_layout[2]
 
 
 def candidate_count(ln: LayeredNetwork) -> int:
@@ -91,13 +91,13 @@ def candidate_count(ln: LayeredNetwork) -> int:
     return ln.base.field.p ** free_entry_count(ln)
 
 
-def _code_from_entries(ln: LayeredNetwork, slots, entries) -> LinearCode:
+def _code_from_entries(ln: LayeredNetwork, entries) -> LinearCode:
     fm = ln.base.field
     # a copy, so that no returned matrix keeps a whole batch alive
     digits = np.array(entries, dtype=np.int64)[:, np.newaxis]
     blocks = {
         kind: {key: GfMatrix(fm, stack[0]) for key, stack in mats.items()}
-        for kind, mats in _stacks(slots, digits).items()
+        for kind, mats in _stacks(ln, digits, "CFD").items()
     }
     return LinearCode(
         network=ln, encoders=blocks["C"], decoders=blocks["D"], relays=blocks["F"]
@@ -110,12 +110,12 @@ def candidate_code(ln: LayeredNetwork, index: int) -> LinearCode:
     Raises ``ValueError`` for an index outside the code space, or from
     ``gf_linalg.dense_capacity`` for a code over ``MAX_DENSE_BYTES``.
     """
-    slots, total = ln._code_layout
+    total = ln._code_layout[2]
     if not 0 <= index < _power(ln.base.field.p, total, index):
         raise ValueError(f"candidate index {index} out of range")
     dense_capacity(total, f"a code of {total} entries needs")
     entries = _candidate_digits(index, 1, total, ln.base.field.p)[:, 0]
-    return _code_from_entries(ln, slots, entries)
+    return _code_from_entries(ln, entries)
 
 
 def _candidate_digits(start: int, count: int, total_entries: int, p: int) -> np.ndarray:
@@ -152,17 +152,19 @@ def _take(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return stack if stack.ndim == 2 or rows.size == len(stack) else stack[rows]
 
 
-def _stacks(slots, digits: np.ndarray) -> dict[str, dict[object, np.ndarray]]:
-    """(batch, rows, cols) views of the given slots' matrices in (entries,
-    batch) digits, keyed by slot kind and then by slot key."""
-    count = digits.shape[1]
-    mats: dict[str, dict[object, np.ndarray]] = {"C": {}, "F": {}, "D": {}}
-    for slot in slots:
-        mats[slot.kind][slot.key] = (
-            digits[slot.offset:slot.offset + slot.rows * slot.cols]
-            .reshape(slot.rows, slot.cols, count)
-            .transpose(2, 0, 1)
-        )
+def _stacks(ln: LayeredNetwork, digits: np.ndarray,
+            kinds: str) -> dict[str, dict[object, np.ndarray]]:
+    """(batch, rows, cols) views of the matrices of ``kinds``, consecutive
+    in the code layout, cut in layout order from the first row of (entries,
+    batch) digits and keyed by kind and then by key: ``"CF"`` cuts a
+    pair's digits, ``"D"`` a decoder index's and ``"CFD"`` a candidate's."""
+    count, at = digits.shape[1], 0
+    mats: dict[str, dict[object, np.ndarray]] = {kind: {} for kind in kinds}
+    for kind in kinds:
+        for key, (rows, cols) in ln._code_layout[0][kind].items():
+            view = digits[at:at + rows * cols]
+            mats[kind][key] = view.reshape(rows, cols, count).transpose(2, 0, 1)
+            at += rows * cols
     return mats
 
 
@@ -187,11 +189,11 @@ def _solved(p: int, decoders, arrivals, count: int) -> np.ndarray:
     return alive
 
 
-def _solving(ln: LayeredNetwork, slots, digits: np.ndarray) -> np.ndarray:
+def _solving(ln: LayeredNetwork, digits: np.ndarray) -> np.ndarray:
     """Ascending indices of the solving candidates of a batch given as
     (entries, batch) digits, propagated once and checked by :func:`_solved`."""
     count = digits.shape[1]
-    mats = _stacks(slots, digits)
+    mats = _stacks(ln, digits, "CFD")
     return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
 
 
@@ -217,11 +219,13 @@ def _undecodable(ln: LayeredNetwork) -> bool:
     return ln.base._unreachable or any(ln.message_length(s) > ln.base.q for s in ln.base.sessions)
 
 
-def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> int:
+def _decoder_floor(ln: LayeredNetwork, cap: int) -> int:
     """Lowest decoder index d at which every D_k has full row rank, or
     a stand-in above ``cap`` when d exceeds it.
 
-    The lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
+    A decoder index spells the code layout's ``D`` shapes alone, each
+    row-major from ``base``, its offset past the decoders before it.  The
+    lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
     most significant row is the smallest nonzero row e_0, and each row
     above it the smallest row independent of those below; when a message
     is longer than q, the bound holds vacuously (see :func:`_undecodable`).
@@ -229,15 +233,13 @@ def _decoder_floor(ln: LayeredNetwork, slots, pairs_entries: int, cap: int) -> i
     looked at: either answer leaves nothing to scan.
     """
     p = ln.base.field.p
-    floor = 0
-    for slot in slots:
-        if slot.kind != "D":
-            continue
-        base = slot.offset - pairs_entries
-        for r in range(slot.rows):
-            floor += _power(p, base + r * slot.cols + slot.rows - 1 - r, cap)
+    floor = base = 0
+    for rows, cols in ln._code_layout[0]["D"].values():
+        for r in range(rows):
+            floor += _power(p, base + r * cols + rows - 1 - r, cap)
             if floor > cap:
                 return floor
+        base += rows * cols
     return floor
 
 
@@ -251,7 +253,7 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 
-def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, floor, start, count):
+def _lowest_decoders(ln: LayeredNetwork, floor, start, count):
     """(d, cf) of the lowest solving index among pairs start .. start+count-1.
 
     No index below ``floor * p**m`` solves and each decoder index adds
@@ -265,15 +267,14 @@ def _lowest_decoders(ln: LayeredNetwork, slots, pairs_entries, floor, start, cou
     no pair can solve.
     """
     p = ln.base.field.p
-    digits = _candidate_digits(start, count, pairs_entries, p)
-    mats = _stacks([slot for slot in slots if slot.kind != "D"], digits)
+    _, pairs_entries, total = ln._code_layout
+    mats = _stacks(ln, _candidate_digits(start, count, pairs_entries, p), "CF")
     arrivals = list(_arrivals(ln, mats["C"], mats["F"], count))
-    entries = ln._code_layout[1] - pairs_entries
+    entries = total - pairs_entries
     tries = min(_FLOOR_TRIES, _power(p, entries, floor + _FLOOR_TRIES) - floor)
-    for j, col in enumerate(_candidate_digits(floor, tries, entries, p).T):
-        tried = {s.key: col[s.offset - pairs_entries:][:s.rows * s.cols].reshape(s.rows, s.cols)
-                 for s in slots if s.kind == "D"}
-        hits = _solved(p, tried, arrivals, count)
+    tried = _stacks(ln, _candidate_digits(floor, tries, entries, p), "D")["D"]
+    for j in range(tries):
+        hits = _solved(p, {k: d[j] for k, d in tried.items()}, arrivals, count)
         if hits.size:
             return floor + j, start + int(hits[0])
     alive = np.arange(count)
@@ -314,15 +315,14 @@ def exhaustive_search(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    slots, total_entries = ln._code_layout
+    _, pairs_entries, total_entries = ln._code_layout
     p = ln.base.field.p
     # a power past the budget is never built: its stand-in from _power
     # lands on the same side of the budget in every test below
     space = _power(p, total_entries, budget)
     bound = min(space, budget)
-    pairs_entries = total_entries - sum(s.rows * s.cols for s in slots if s.kind == "D")
     pairs = _power(p, pairs_entries, budget)
-    floor = _decoder_floor(ln, slots, pairs_entries, budget)
+    floor = _decoder_floor(ln, budget)
     best = bound
     if floor * pairs < bound and not _undecodable(ln):
         batch = _batch_size(ln, pairs_entries, chunk_size)
@@ -330,7 +330,7 @@ def exhaustive_search(
         # no pair from start on can give an index below floor * pairs + start
         while start < stop and best >= floor * pairs + start:
             count = min(batch, stop - start)
-            hit = _lowest_decoders(ln, slots, pairs_entries, floor, start, count)
+            hit = _lowest_decoders(ln, floor, start, count)
             if hit is not None:
                 best = min(best, hit[0] * pairs + hit[1])
             start += count
@@ -387,7 +387,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    slots, total_entries = ln._code_layout
+    total_entries = ln._code_layout[2]
     p = ln.base.field.p
     rng = random.Random(seed)
     drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
@@ -400,10 +400,10 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
         entries = np.empty(count * total_entries, dtype=np.int64)
         pending = _randrange_fill(rng, p, entries, pending)
         digits = entries.reshape(count, total_entries).T
-        hits = _solving(ln, slots, digits)
+        hits = _solving(ln, digits)
         if hits.size:
             trial = drawn + int(hits[0]) + 1
-            code = _code_from_entries(ln, slots, digits[:, hits[0]])
+            code = _code_from_entries(ln, digits[:, hits[0]])
             return SearchResult("found", _verified(ln, code, f"trial {trial}"), trial, trial)
         drawn += count
         size = min(2 * size, most)

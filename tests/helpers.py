@@ -572,9 +572,8 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
 def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
     """Ascending offsets from ``start`` of the solving candidates among
     start .. start+count-1, decoders included."""
-    slots, total_entries = ln._code_layout
-    digits = _candidate_digits(start, count, total_entries, ln.base.field.p)
-    return _solving(ln, slots, digits)
+    digits = _candidate_digits(start, count, ln._code_layout[2], ln.base.field.p)
+    return _solving(ln, digits)
 
 
 def record_exact_products(monkeypatch) -> list[int]:
@@ -597,7 +596,7 @@ def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult
     solved for the decoders; the two must agree on outcome, index,
     scanned count and code.
     """
-    space = ln.base.field.p ** ln._code_layout[1]
+    space = ln.base.field.p ** ln._code_layout[2]
     bound = min(space, budget)
     for start in range(0, bound, _CHUNK):
         count = min(_CHUNK, bound - start)
@@ -615,12 +614,12 @@ def random_search_reference(ln: LayeredNetwork, trials: int, seed: int = 0) -> S
     Draws entries in the same order as :func:`ldnc.search.random_search`,
     so the two must agree on outcome, trial index and code.
     """
-    slots, total_entries = ln._code_layout
+    total_entries = ln._code_layout[2]
     p = ln.base.field.p
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         entries = [rng.randrange(p) for _ in range(total_entries)]
-        code = _code_from_entries(ln, slots, entries)
+        code = _code_from_entries(ln, entries)
         if is_solving(ln, code):
             return SearchResult("found", code, trial, trial)
     return SearchResult("not-found", None, None, trials)

@@ -1,7 +1,10 @@
 import gc
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -34,6 +37,24 @@ def test_version_prints_the_package_version():
     result = invoke("--version")
     assert result.exit_code == 0
     assert result.output == f"ldnc, version {ldnc.__version__}\n"
+
+
+def test_version_needs_no_installed_package_metadata():
+    # a fresh interpreter on the source tree, as CI runs it before any
+    # install: --version must not look the package up in its metadata
+    script = (
+        "import importlib.metadata, runpy, sys\n"
+        "def missing(name):\n"
+        "    raise importlib.metadata.PackageNotFoundError(name)\n"
+        "importlib.metadata.version = missing\n"
+        "sys.argv = ['ldnc', '--version']\n"
+        "runpy.run_module('ldnc.cli', run_name='__main__')\n"
+    )
+    src = str(pathlib.Path(ldnc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, f"ldnc, version {ldnc.__version__}\n"), done.stderr
 
 
 def test_pyproject_declares_the_package_version():

@@ -350,6 +350,21 @@ def test_block_embed_zero_is_zero():
     assert block_embed(zeros(GF3, 2, 2), 2, 2).is_zero()
 
 
+@pytest.mark.parametrize(
+    "m, zero",
+    [
+        (zeros(GF3, 2, 2), True),
+        (rows(GF3, [[0, 0], [0, 2]]), False),
+        (rows(GF5, [[4]]), False),
+        (identity(GF2, 2), False),
+        (zeros(GF2, 0, 3), True),
+        (zeros(GF5, 3, 0), True),
+    ],
+)
+def test_is_zero_holds_exactly_for_matrices_without_a_nonzero_entry(m, zero):
+    assert m.is_zero() is zero
+
+
 def test_block_embed_places_product_in_bottom_band():
     rng = random.Random(5)
     q, horizon = 2, 2

@@ -85,6 +85,44 @@ def test_candidate_digits_spell_the_base_p_index(p):
         assert candidate_index(ln, candidate_code(ln, index)) == index
 
 
+def test_candidate_index_digit_order_ignores_listing_order():
+    # sessions listed 3, 1, 2 with session 2 of width 0, relays declared
+    # zr before ar; q = 3 and T = 2 make every encoder 3 x 2 and every
+    # decoder 2 x 3, so a transposed matrix would show
+    p, q = 3, 3
+    fm = FieldModulus(p)
+    edges = [(u, v, identity(fm, q)) for u, v in (
+        ("s1", "zr"), ("s3", "zr"), ("s2", "ar"), ("s1", "ar"),
+        ("zr", "t1"), ("zr", "t3"), ("ar", "t2"), ("ar", "t1"),
+    )]
+    ln = detect_layers(network(
+        p, q, ["t3", "zr", "s3", "s1", "ar", "t1", "s2", "t2"], edges,
+        [(3, "s3", "t3", 1), (1, "s1", "t1", 1), (2, "s2", "t2", 0)],
+    ))
+    assert ln.horizon == 2
+    expected = (
+        [("C", 1, r, c) for r in range(3) for c in range(2)]
+        + [("C", 3, r, c) for r in range(3) for c in range(2)]
+        + [("F", "ar", r, c) for r in range(3) for c in range(3)]
+        + [("F", "zr", r, c) for r in range(3) for c in range(3)]
+        + [("D", 1, r, c) for r in range(2) for c in range(3)]
+        + [("D", 3, r, c) for r in range(2) for c in range(3)]
+    )
+    assert free_entry_count(ln) == len(expected) == 42
+    for e, place in enumerate(expected):
+        code = candidate_code(ln, p**e)
+        assert code.encoders[2].shape == (3, 0) and code.decoders[2].shape == (0, 3)
+        ones = [
+            (kind, key, r, c, int(v))
+            for kind, mats in (("C", code.encoders), ("F", code.relays), ("D", code.decoders))
+            for key, m in sorted(mats.items())
+            for r, row in enumerate(m.to_rows())
+            for c, v in enumerate(row)
+            if v
+        ]
+        assert ones == [(*place, 1)], e
+
+
 # ---------------------------------------------------------------------------
 # exhaustive search
 # ---------------------------------------------------------------------------
@@ -305,9 +343,9 @@ def test_exhaustive_batches_stay_within_the_dense_limit():
 
 def candidate_index(ln, code):
     """Inverse of candidate_code: the index whose digits spell the code."""
-    slots, _ = ln._code_layout
     blocks = {"C": code.encoders, "F": code.relays, "D": code.decoders}
-    digits = [x for slot in slots for row in blocks[slot.kind][slot.key].to_rows() for x in row]
+    digits = [x for kind, shapes in ln._code_layout[0].items() for key in shapes
+              for row in blocks[kind][key].to_rows() for x in row]
     p = ln.base.field.p
     return sum(d * p**k for k, d in enumerate(digits))
 
@@ -451,9 +489,9 @@ def test_random_search_draws_replay_randrange(monkeypatch, p):
     drawn = []
     solving = search._solving
 
-    def solving_spy(ln, slots, digits):
+    def solving_spy(ln, digits):
         drawn.extend(digits.T.ravel().tolist())
-        return solving(ln, slots, digits)
+        return solving(ln, digits)
 
     monkeypatch.setattr(search, "_solving", solving_spy)
     edge_cases = layout_edge_cases(p, 2)
@@ -484,13 +522,13 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     batches = []
     lowest, solving = search._lowest_decoders, search._solving
 
-    def lowest_spy(ln, slots, pairs_entries, floor, start, count):
+    def lowest_spy(ln, floor, start, count):
         batches.append(count)
-        return lowest(ln, slots, pairs_entries, floor, start, count)
+        return lowest(ln, floor, start, count)
 
-    def solving_spy(ln, slots, digits):
+    def solving_spy(ln, digits):
         batches.append(digits.shape[1])
-        return solving(ln, slots, digits)
+        return solving(ln, digits)
 
     monkeypatch.setattr(search, "_lowest_decoders", lowest_spy)
     monkeypatch.setattr(search, "_solving", solving_spy)

@@ -102,12 +102,10 @@ def test_decoder_solving_search_matches_full_candidate_scan():
         space = candidate_count(ln)
         first = exhaustive_search_reference(ln, space)
         budgets = {0, 1, rng.randrange(space + 1), space}
-        slots, total = ln._code_layout
-        pairs_entries = sum(s.rows * s.cols for s in slots if s.kind != "D")
-        pairs = ln.base.field.p ** pairs_entries
+        pairs = ln.base.field.p ** ln._code_layout[1]
         if first.outcome == "found":
             budgets |= {first.index, first.index + 1}
-            above = first.index // pairs - _decoder_floor(ln, slots, pairs_entries, space)
+            above = first.index // pairs - _decoder_floor(ln, space)
             covered["at_floor" if not above else
                     "near_floor" if above < _FLOOR_TRIES else "past_tries"] += 1
         chunks = (7, 64, _CHUNK) + ((1,) if pairs <= 256 else ())
@@ -137,12 +135,9 @@ def test_hits_near_the_decoder_floor_need_no_elimination(monkeypatch):
     for ln in instances():
         space = candidate_count(ln)
         first = exhaustive_search_reference(ln, space)
-        slots, _ = ln._code_layout
-        pairs_entries = sum(s.rows * s.cols for s in slots if s.kind != "D")
         if first.outcome != "found":
             continue
-        above = first.index // ln.base.field.p**pairs_entries - _decoder_floor(
-            ln, slots, pairs_entries, space)
+        above = first.index // ln.base.field.p ** ln._code_layout[1] - _decoder_floor(ln, space)
         if above < _FLOOR_TRIES:
             with monkeypatch.context() as patched:
                 patched.setattr(search, "lowest_solutions", refuse)
@@ -193,18 +188,18 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
             if q * sum(widths) > 9:
                 continue
             ln = width_network(p, q, widths)
-            slots, total = ln._code_layout
+            total = ln._code_layout[2]
             pairs_entries = total - q * sum(widths)
             # a session wider than q has no full-rank decoder: the rule
             # decides it, and the floor is then only a vacuous bound
             assert _undecodable(ln) == (max(widths) > q), (q, widths)
             if max(widths) > q:
                 assert brute_floor(p, q, widths) is None
-                assert isinstance(_decoder_floor(ln, slots, pairs_entries, p**total), int)
+                assert isinstance(_decoder_floor(ln, p**total), int)
                 undecodable += 1
                 continue
             want = brute_floor(p, q, widths)
-            assert _decoder_floor(ln, slots, pairs_entries, p**total) == want, (q, widths)
+            assert _decoder_floor(ln, p**total) == want, (q, widths)
             # the floor index holds the lowest full-rank decoders: each D_k
             # is the identity with its rows reversed, which the search tries first
             decoders = candidate_code(ln, want * p**pairs_entries).decoders
@@ -212,7 +207,7 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
                 assert decoders[i + 1].to_rows() == np.eye(w, q, dtype=int)[::-1].tolist()
             # a cap below the floor gives a stand-in above the cap
             for cap in range(min(want, 40) + 2):
-                got = _decoder_floor(ln, slots, pairs_entries, cap)
+                got = _decoder_floor(ln, cap)
                 assert got == want if want <= cap else cap < got <= want, (q, widths, cap)
             checked += 1
     assert checked > 10 and undecodable == 3
@@ -225,9 +220,8 @@ def test_floor_bound_decides_without_propagating(monkeypatch):
         raise AssertionError("propagated")
 
     ln = width_network(2, 2, (1, 1))
-    slots, total = ln._code_layout
-    pairs_entries = total - 2 * 2  # the decoders are two 1 x 2 matrices
-    below = _decoder_floor(ln, slots, pairs_entries, candidate_count(ln)) * 2**pairs_entries
+    pairs_entries = ln._code_layout[2] - 2 * 2  # the decoders are two 1 x 2 matrices
+    below = _decoder_floor(ln, candidate_count(ln)) * 2**pairs_entries
     wide = width_network(3, 1, (2,))
     monkeypatch.setattr(search, "_arrivals", refuse)
     result = exhaustive_search(ln, budget=below)
