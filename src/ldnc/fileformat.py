@@ -18,13 +18,17 @@ boundary) are removed; ``{x}`` repeats x, ``[x]`` makes it optional::
 
 Any run of Unicode whitespace may separate two symbols, and none may
 split an INT or an ID.  Each matrix or vector literal is one token whose
-entries are read with one numpy call.  A shift gain is built as a dense
-q x q matrix, so ``gf_linalg.dense_capacity`` refuses, with ``ParseError``,
-a file whose shift gains would take more than ``MAX_DENSE_BYTES`` before
-they are built.  README "File formats" has examples.  Serialization is
-canonical: nodes sorted, edges sorted by endpoint pair, sessions by id,
-and every gain that equals a shift matrix printed as
-``shift g=<strength>``, so parse/print round trips are stable.
+entries are read with one numpy call.  Identical matrix literals in one
+file, and equal shift gains, parse to one shared matrix: the copies of
+an unfolding's gain, which :func:`ldnc.network.reciprocal` keeps shared,
+are read once.  A shift gain is built as a dense q x q matrix, so
+``gf_linalg.dense_capacity`` refuses, with ``ParseError``, a file whose
+shift gains, each one counted, would take more than ``MAX_DENSE_BYTES``
+before they are built.  README "File formats" has examples.
+Serialization is canonical: nodes sorted, edges sorted by endpoint pair,
+sessions by id, and every gain that equals a shift matrix printed as
+``shift g=<strength>``, so parse/print round trips are stable; the text
+of a gain object that several edges share is worked out once.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ _COMMENT = re.compile(r"#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 _TOKEN = re.compile(
     r"(->|[:=]|[A-Za-z0-9_@.]+|\[[^\[\]]*(?:\[[^\[\]]*\][^\[\]]*)*\])|(\S+)"
 )
+_ID = re.compile(r"[A-Za-z0-9_@.]+")
 _ROW = r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"
 _VECTOR = re.compile(_ROW)
 _MATRIX = re.compile(rf"\[{_ROW}(?:,{_ROW})*\]")
@@ -76,6 +81,9 @@ class _Stream:
             raise ParseError(f"unexpected characters {stray[:40]!r}")
         self.tokens = [tok for tok, _ in pairs]
         self.pos = 0
+        # each distinct literal or shift gain, keyed by its text and p, is
+        # built once and shared (GfMatrix is immutable)
+        self.matrices: dict[tuple[str, int], GfMatrix] = {}
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -100,7 +108,7 @@ class _Stream:
 
     def node_id(self) -> str:
         tok = self.next()
-        if tok in _RESERVED or not re.fullmatch(r"[A-Za-z0-9_@.]+", tok):
+        if tok in _RESERVED or not _ID.fullmatch(tok):
             raise ParseError(f"invalid node id {tok[:40]!r}")
         return tok
 
@@ -120,13 +128,18 @@ class _Stream:
         if empty_cols is not None and _EMPTY.fullmatch(self.peek() or ""):
             self.next()
             return GfMatrix(field, np.zeros((0, empty_cols), dtype=np.int64))
+        key = self.peek(), field.p
+        if key in self.matrices:
+            self.next()
+            return self.matrices[key]
         flat, entries = self._literal(_MATRIX, field.p)
         rows = flat[2:-2].split("],[")
         widths = {row.count(",") + 1 if row else 0 for row in rows}
         if len(widths) != 1:
             raise ParseError("matrix rows have unequal lengths")
         entries.shape = len(rows), widths.pop()  # in place: a view would keep a second array
-        return GfMatrix(field, entries)
+        self.matrices[key] = GfMatrix(field, entries)
+        return self.matrices[key]
 
     def vector(self, field: FieldModulus) -> np.ndarray:
         return self._literal(_VECTOR, field.p)[1]
@@ -159,7 +172,10 @@ def parse_network(text: str) -> Network:
             raise ParseError(f"shift strength {strength} outside 0..{q}, or q < 1")
         shift_entries += q * q
         dense_capacity(shift_entries, f"shift gains of size {q}x{q} need", ParseError)
-        return shift_matrix(field, q, strength)
+        key = f"shift g={strength}", field.p
+        if key not in ts.matrices:
+            ts.matrices[key] = shift_matrix(field, q, strength)
+        return ts.matrices[key]
 
     while ts.peek() is not None:
         section = ts.next()
@@ -217,7 +233,7 @@ def _gain_literal(gain: GfMatrix) -> str:
 
 
 def matrix_literal(m: GfMatrix) -> str:
-    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.to_rows()) + "]"
+    return str(m.to_rows()).replace(" ", "")
 
 
 def serialize_network(n: Network) -> str:

@@ -254,18 +254,27 @@ def require_valid(n: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _transposed_gains(edges: Iterable[Edge]) -> dict[int, GfMatrix]:
+    """The transpose of each distinct gain object, keyed by the gain's id,
+    so that edges sharing a gain, as an unfolding's copies of an edge do,
+    share one transpose."""
+    gains = {id(e.gain): e.gain for e in edges}
+    return {key: gain.T for key, gain in gains.items()}
+
+
 def reciprocal(n: Network) -> Network:
     """Reverse every edge, transpose every gain, swap session roles.
 
     Applying the construction twice returns a network structurally equal
-    to the original.
+    to the original.  Edges that share a gain object share its transpose.
     """
     require_valid(n)
+    transposed = _transposed_gains(n.edges)
     return Network(
         field=n.field,
         q=n.q,
         nodes=n.nodes,
-        edges=tuple(Edge(e.dst, e.src, e.gain.T) for e in n.edges),
+        edges=tuple(Edge(e.dst, e.src, transposed[id(e.gain)]) for e in n.edges),
         sessions=tuple(
             Session(s.id, s.destination, s.source, s.width) for s in n.sessions
         ),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .coding import LinearCode, TransferMap, transfer_matrices, validate_code
 from .errors import NonShiftGainError
 from .gf_linalg import as_shift_strength, flip_matrix
-from .network import LayeredNetwork, reciprocal_layered
+from .network import LayeredNetwork, _transposed_gains, reciprocal_layered
 
 
 def transpose_code(ln: LayeredNetwork, code: LinearCode) -> LinearCode:
@@ -103,7 +103,8 @@ def physical_reverse(ln: LayeredNetwork) -> LayeredNetwork:
 
 
 def _gains_transposed(ln: LayeredNetwork) -> LayeredNetwork:
-    edges = tuple(replace(e, gain=e.gain.T) for e in ln.base.edges)
+    transposed = _transposed_gains(ln.base.edges)
+    edges = tuple(replace(e, gain=transposed[id(e.gain)]) for e in ln.base.edges)
     return replace(ln, base=replace(ln.base, edges=edges))
 
 

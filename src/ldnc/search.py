@@ -26,7 +26,8 @@ solving D_k of every pair, and the lowest index is the minimum of
 ``d_min * p**m + cf`` over the solvable pairs.
 
 Both searches lay a batch out the same way: candidates become one
-(entries, batch) int64 digit array, whose encoder and relay stacks go
+(entries, batch) int64 digit array, which exhaustive search cuts off
+above the batch's top digit, and its encoder and relay stacks go
 to the one propagation kernel, :func:`ldnc.coding._arrivals`, which
 :func:`~ldnc.coding.simulate` runs too.  It sends every session as the
 column block of its message in one shared transmission and yields each
@@ -96,7 +97,8 @@ def _code_from_entries(ln: LayeredNetwork, entries) -> LinearCode:
     # a copy, so that no returned matrix keeps a whole batch alive
     digits = np.array(entries, dtype=np.int64)[:, np.newaxis]
     blocks = {
-        kind: {key: GfMatrix(fm, stack[0]) for key, stack in mats.items()}
+        kind: {key: GfMatrix(fm, stack if stack.ndim == 2 else stack[0])
+               for key, stack in mats.items()}
         for kind, mats in _stacks(ln, digits, "CFD").items()
     }
     return LinearCode(
@@ -122,15 +124,17 @@ def _candidate_digits(start: int, count: int, total_entries: int, p: int) -> np.
     """Base-p digits of candidates start .. start+count-1, one row per entry.
 
     Digit e is constant over runs of p**e consecutive indices, so each row
-    is written as repeated runs rather than divided out per candidate;
-    digits above the largest index stay zero.
+    is written as repeated runs rather than divided out per candidate.
+    The rows stop at the largest index's top digit, at most
+    ``total_entries`` of them: every digit above it is zero in the batch.
     """
-    digits = np.zeros((total_entries, count), dtype=np.int64)
     top = start + count - 1
+    rows, run = 0, 1
+    while rows < total_entries and run <= top:
+        rows, run = rows + 1, run * p
+    digits = np.empty((rows, count), dtype=np.int64)
     run = 1
-    for e in range(total_entries):
-        if run > top:
-            break
+    for e in range(rows):
         offset = start % run
         first = (start // run) % p
         if run >= count:
@@ -157,14 +161,24 @@ def _stacks(ln: LayeredNetwork, digits: np.ndarray,
     """(batch, rows, cols) views of the matrices of ``kinds``, consecutive
     in the code layout, cut in layout order from the first row of (entries,
     batch) digits and keyed by kind and then by key: ``"CF"`` cuts a
-    pair's digits, ``"D"`` a decoder index's and ``"CFD"`` a candidate's."""
-    count, at = digits.shape[1], 0
+    pair's digits, ``"D"`` a decoder index's and ``"CFD"`` a candidate's.
+    Digits past the last row are zero: a matrix made of them only is one
+    (rows, cols) zero matrix shared by the batch, and the one matrix that
+    straddles that row is a zero-padded copy."""
+    (written, count), at = digits.shape, 0
     mats: dict[str, dict[object, np.ndarray]] = {kind: {} for kind in kinds}
     for kind in kinds:
         for key, (rows, cols) in ln._code_layout[0][kind].items():
-            view = digits[at:at + rows * cols]
-            mats[kind][key] = view.reshape(rows, cols, count).transpose(2, 0, 1)
-            at += rows * cols
+            size = rows * cols
+            if at >= written:
+                mats[kind][key] = np.zeros((rows, cols), dtype=np.int64)
+            else:
+                view = digits[at:at + size]
+                if at + size > written:
+                    view = np.zeros((size, count), dtype=np.int64)
+                    view[:written - at] = digits[at:]
+                mats[kind][key] = view.reshape(rows, cols, count).transpose(2, 0, 1)
+            at += size
     return mats
 
 
@@ -274,7 +288,8 @@ def _lowest_decoders(ln: LayeredNetwork, floor, start, count):
     tries = min(_FLOOR_TRIES, _power(p, entries, floor + _FLOOR_TRIES) - floor)
     tried = _stacks(ln, _candidate_digits(floor, tries, entries, p), "D")["D"]
     for j in range(tries):
-        hits = _solved(p, {k: d[j] for k, d in tried.items()}, arrivals, count)
+        hits = _solved(p, {k: d if d.ndim == 2 else d[j] for k, d in tried.items()},
+                       arrivals, count)
         if hits.size:
             return floor + j, start + int(hits[0])
     alive = np.arange(count)

@@ -14,7 +14,8 @@ from ldnc.fileformat import (
     serialize_network,
 )
 from ldnc.gf_linalg import shift_matrix
-from ldnc.network import detect_layers
+from ldnc.layering import unfold
+from ldnc.network import detect_layers, reciprocal
 
 from helpers import butterfly_code, butterfly_network, two_unicast_code, two_unicast_network
 
@@ -103,24 +104,92 @@ def test_parse_errors():
             parse_code(corpus.read("twounicast.code") + record + "\n", ln)
 
 
+def distinct_gains(n):
+    return {id(e.gain) for e in n.edges}
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that gains the arguments of every call to ``owner.name``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_serialize_network_prints_each_shared_gain_once(monkeypatch):
     # an unfolding shares one memory gain across all memory edges and one
     # embedded gain across the copies of each channel edge
-    from ldnc.layering import unfold
-
     un = unfold(parse_network(corpus.read("triangle.net")), 4).base
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return shift_strength(m)
-
-    shift_strength = fileformat.as_shift_strength
-    monkeypatch.setattr(fileformat, "as_shift_strength", counted)
+    calls = count_calls(monkeypatch, fileformat, "as_shift_strength")
     text = serialize_network(un)
-    distinct = {id(e.gain) for e in un.edges}
-    assert len(calls) == len(distinct) < len(un.edges)
+    assert len(calls) == len(distinct_gains(un)) < len(un.edges)
     assert parse_network(text) == un
+
+
+TRIANGLE_LITERALS = """
+p: 3
+q: 2
+nodes: a b c
+edges:
+  a -> b gain [[1, 2], [0, 1]]
+  a -> c gain [[2, 0], [1, 1]]
+  b -> c gain [[1, 1], [1, 2]]
+sessions:
+  1: a -> c width 1
+"""
+
+
+@pytest.mark.parametrize("text", [corpus.read("triangle.net"), TRIANGLE_LITERALS],
+                         ids=["triangle.net", "literal-triangle"])
+def test_parsed_unfolding_shares_each_distinct_gain(text):
+    # triangle.net's three channel gains are equal shifts, so its unfolding
+    # holds four gain objects of two values; the literal triangle's four
+    # gain objects all differ
+    un = unfold(parse_network(text), 4).base
+    again = parse_network(serialize_network(un))
+    assert again == un
+    assert len(distinct_gains(again)) == len(set(e.gain for e in un.edges))
+    assert len(set(e.gain for e in un.edges)) <= len(distinct_gains(un)) == 4
+
+
+def test_parse_code_reads_a_repeated_literal_once(monkeypatch):
+    reads = count_calls(monkeypatch, fileformat._Stream, "_literal")
+    ln = detect_layers(parse_network(corpus.read("twounicast.net")))
+    code = parse_code(corpus.read("twounicast.code"), ln)
+    # all six records of twounicast.code hold the same 2x2 identity
+    assert len(reads) == 1
+    matrices = [*code.encoders.values(), *code.decoders.values(), *code.relays.values()]
+    assert len(matrices) == 6 and all(m is matrices[0] for m in matrices)
+    assert serialize_code(code) == corpus.read("twounicast.code")
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("[[1,2],[3]]", "unequal lengths"),
+    ("[[1 2]]", "malformed"),
+    ("[[1,2],[3,4],]", "malformed"),
+])
+def test_a_repeated_malformed_literal_raises_at_its_first_occurrence(monkeypatch, literal, message):
+    reads = count_calls(monkeypatch, fileformat._Stream, "_literal")
+    edges = "".join(f"  a -> {v} gain {literal}\n" for v in ("b", "c", "d"))
+    with pytest.raises(ParseError, match=message):
+        parse_network(f"p: 2\nq: 2\nnodes: a b c d\nedges:\n{edges}")
+    assert len(reads) == 1
+
+
+def test_reciprocal_of_an_unfolding_keeps_its_shared_gains(monkeypatch):
+    un = unfold(parse_network(corpus.read("triangle.net")), 4).base
+    rev = reciprocal(un)
+    assert len(distinct_gains(rev)) == len(distinct_gains(un)) < len(un.edges)
+    calls = count_calls(monkeypatch, fileformat, "as_shift_strength")
+    text = serialize_network(rev)
+    assert len(calls) == len(distinct_gains(rev))
+    assert parse_network(text) == rev
+    assert reciprocal(rev) == un
 
 
 def test_code_horizon_mismatch_is_a_binding_error():

@@ -6,13 +6,15 @@ text at all either parses or raises the format's own domain error.
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ldnc import corpus
 from ldnc.errors import CodeBindingError, ParseError
 from ldnc.fileformat import (
+    matrix_literal,
     parse_code,
     parse_messages,
     parse_network,
@@ -81,6 +83,28 @@ def test_code_round_trip(seed, p_choices):
         dict(code.encoders), dict(code.decoders), dict(code.relays)
     )
     assert serialize_code(again) == text
+
+
+def nested_join_literal(m):
+    """The form ``matrix_literal`` printed with one join per row."""
+    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in m.to_rows()) + "]"
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))
+    return GfMatrix(FieldModulus(p), np.array(entries, dtype=np.int64).reshape(rows, cols))
+
+
+@given(matrices())
+@example(GfMatrix(FieldModulus(3), np.zeros((0, 4), dtype=np.int64)))
+@example(GfMatrix(FieldModulus(3), np.zeros((4, 0), dtype=np.int64)))
+@example(GfMatrix.from_rows(FieldModulus(2**31 - 1), [[2**31 - 2, 0], [1, 2**30]]))
+@PROPERTY
+def test_matrix_literal_matches_the_nested_join_form(m):
+    assert matrix_literal(m) == nested_join_literal(m)
 
 
 def test_code_with_a_width_zero_session_round_trips():

@@ -12,6 +12,7 @@ from ldnc.gf_linalg import (
     shift_matrix,
     zeros,
 )
+from ldnc.layering import unfold
 from ldnc.network import detect_layers, network, reciprocal_layered
 from ldnc.reciprocity import (
     physical_code,
@@ -27,6 +28,7 @@ from helpers import (
     random_code,
     random_layered_instance,
     single_edge_identity,
+    triangle_network,
 )
 
 GF2 = FieldModulus(2)
@@ -258,6 +260,10 @@ def test_physical_reverse_keeps_gains_and_flips_layers():
     assert rev.base.edge_map()[("v2", "v1")] == shift_matrix(GF2, 3, 2)
     for v in ln.base.nodes:
         assert rev.layer_of(v) == ln.horizon - ln.layer_of(v)
+    # an unfolding's copies of one gain stay one gain on the reverse links
+    un = unfold(triangle_network(), 4)
+    assert len({id(e.gain) for e in physical_reverse(un).base.edges}) == len(
+        {id(e.gain) for e in un.base.edges}) < len(un.base.edges)
 
 
 # ---------------------------------------------------------------------------

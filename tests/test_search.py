@@ -81,7 +81,10 @@ def test_candidate_digits_spell_the_base_p_index(p):
         for _ in range(total):
             rest, digit = divmod(rest, p)
             expected.append(digit)
-        assert search._candidate_digits(index, 1, total, p)[:, 0].tolist() == expected
+        digits = search._candidate_digits(index, 1, total, p)[:, 0].tolist()
+        # the rows left out are the zero digits above the index's top digit
+        assert digits == expected[:len(digits)] and not any(expected[len(digits):])
+        assert not digits or digits[-1]
         assert candidate_index(ln, candidate_code(ln, index)) == index
 
 
@@ -315,25 +318,52 @@ def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
         random_search(ln, trials=1)
 
 
-def test_exhaustive_batches_stay_within_the_dense_limit():
-    # a width-0 session through 8 relays at q=16: 2,048 relay entries a
-    # pair, so a batch of 2**16 pairs would hold 1 GiB of digits
-    import tracemalloc
-
+def eight_relays():
+    """A width-0 session through 8 relays at q=16: 2,048 relay entries a pair."""
     p, q = 2, 16
     fm = FieldModulus(p)
     relays = [f"r{i}" for i in range(8)]
     edges = [("a", r, identity(fm, q)) for r in relays] + [(r, "b", identity(fm, q)) for r in relays]
     ln = detect_layers(network(p, q, ["a", *relays, "b"], edges, [(1, "a", "b", 0)]))
     assert free_entry_count(ln) == 8 * q * q
+    return ln
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran."""
+    import tracemalloc
+
     tracemalloc.start()
     try:
-        result = exhaustive_search(ln)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_exhaustive_batches_stay_within_the_dense_limit():
+    # a batch of 2**16 pairs would hold 1 GiB of digits
+    ln = eight_relays()
+    result, peak = traced_peak(lambda: exhaustive_search(ln))
     assert (result.outcome, result.index) == ("found", 0)
     assert peak < 300 * 2**20
+
+
+def test_batch_digits_stop_at_the_top_digit_of_the_batch():
+    # a batch of 2**14 pairs writes 14 of its 2,048 digit rows, and only
+    # the first relay holds any of them: one 256-entry stack of 32 MiB,
+    # where every relay's stack took 256 MiB of digits in all
+    ln = eight_relays()
+    digits = search._candidate_digits(0, 2**14, free_entry_count(ln), 2)
+    assert digits.shape == (14, 2**14)
+    relays = search._stacks(ln, digits, "CF")["F"]
+    assert relays["r0"].shape == (2**14, 16, 16)
+    assert all(relays[f"r{i}"].shape == (16, 16) and not relays[f"r{i}"].any()
+               for i in range(1, 8))
+    result, peak = traced_peak(lambda: exhaustive_search(ln))
+    assert (result.outcome, result.index) == ("found", 0)
+    assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------------------
