@@ -23,8 +23,8 @@ file, and equal shift gains, parse to one shared matrix: the copies of
 an unfolding's gain, which :func:`ldnc.network.reciprocal` keeps shared,
 are read once.  A shift gain is built as a dense q x q matrix, so
 ``gf_linalg.dense_capacity`` refuses, with ``ParseError``, a file whose
-shift gains, each one counted, would take more than ``MAX_DENSE_BYTES``
-before they are built.  README "File formats" has examples.
+distinct shift gains would take more than ``MAX_DENSE_BYTES`` before
+they are built.  README "File formats" has examples.
 Serialization is canonical: nodes sorted, edges sorted by endpoint pair,
 sessions by id, and every gain that equals a shift matrix printed as
 ``shift g=<strength>``, so parse/print round trips are stable; the text
@@ -170,10 +170,10 @@ def parse_network(text: str) -> Network:
         strength = ts.integer()
         if q < 1 or not 0 <= strength <= q:
             raise ParseError(f"shift strength {strength} outside 0..{q}, or q < 1")
-        shift_entries += q * q
-        dense_capacity(shift_entries, f"shift gains of size {q}x{q} need", ParseError)
         key = f"shift g={strength}", field.p
         if key not in ts.matrices:
+            shift_entries += q * q
+            dense_capacity(shift_entries, f"shift gains of size {q}x{q} need", ParseError)
             ts.matrices[key] = shift_matrix(field, q, strength)
         return ts.matrices[key]
 

@@ -17,13 +17,15 @@ when no path of nonzero gains reaches its destination, which both
 searches decide without drawing or propagating, nor any index below
 ``floor * p**m``, where ``floor`` is the lowest decoder index with every
 D_k of full rank: budgets at or below it end at once, and no pair is
-scanned that cannot beat the best.  A batch of pairs first tries the
-floor decoders and the next few decoder indices, one after another,
-with the check that random search runs: the first pair one solves gives
-the batch's lowest index.  Only when none does, one batched GF(p)
-elimination (:func:`~ldnc.gf_linalg.lowest_solutions`) finds the lowest
-solving D_k of every pair, and the lowest index is the minimum of
-``d_min * p**m + cf`` over the solvable pairs.
+scanned that cannot beat the best.  Pairs go in batches of 256, 1,024,
+4,096, ... pairs.  A batch first tries the floor decoders and the next
+few decoder indices, one after another, with the check that random
+search runs: the first pair one solves gives the batch's lowest index,
+which no pair that every try misses can beat.  Batches that all tries
+miss are kept, and one batched GF(p) elimination per session
+(:func:`~ldnc.gf_linalg.lowest_solutions`) over their merged arrivals
+finds the lowest solving D_k of every pair, and the lowest index is the
+minimum of ``d_min * p**m + cf`` over the solvable pairs.
 
 Both searches lay a batch out the same way: candidates become one
 (entries, batch) int64 digit array, which exhaustive search cuts off
@@ -45,6 +47,7 @@ transfer-matrix path before it is handed back.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass
 
@@ -61,6 +64,10 @@ _DRAW_WORDS = 1 << 14
 # decoder indices from the floor up that exhaustive search tries before it
 # solves: a try costs a small part of a solve, and misses sit near the floor
 _FLOOR_TRIES = 3
+# pairs in exhaustive search's first batch, each later one 4x the last: a
+# batch's fixed cost is that of propagating a few hundred pairs
+_FIRST_BATCH = 256
+_log = logging.getLogger("ldnc.search")
 
 
 @dataclass(frozen=True)
@@ -267,36 +274,43 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 
-def _lowest_decoders(ln: LayeredNetwork, floor, start, count):
-    """(d, cf) of the lowest solving index among pairs start .. start+count-1.
-
-    No index below ``floor * p**m`` solves and each decoder index adds
-    p**m, so the decoder indices from the floor up are tried in turn on
-    every pair, each with the check random search runs, and the first
-    pair one solves gives the lowest index.  The floor decoders, each D_k
-    the identity with its rows reversed, solve the first of all when
-    every session has width 0.  After ``_FLOOR_TRIES`` misses, batched
-    elimination finds the lowest D_k . Y_k = E_k on the same arrivals,
-    session by session, on the pairs still solvable.  Returns None when
-    no pair can solve.
+def _propagate_and_try(ln: LayeredNetwork, floor: int, tries: int, start: int, count: int):
+    """Propagate pairs start .. start+count-1 and try decoder indices
+    floor .. floor+tries-1 on them in turn, each with the check random
+    search runs.  No index below ``floor * p**m`` solves and each decoder
+    index adds p**m, so the first pair the first solving try solves gives
+    the batch's lowest index: returns ((d, cf), None) for it, or (None,
+    arrivals) for :func:`_eliminate` when every try misses.  The floor
+    decoders solve the first pair of all when every session has width 0.
     """
     p = ln.base.field.p
     _, pairs_entries, total = ln._code_layout
     mats = _stacks(ln, _candidate_digits(start, count, pairs_entries, p), "CF")
     arrivals = list(_arrivals(ln, mats["C"], mats["F"], count))
-    entries = total - pairs_entries
-    tries = min(_FLOOR_TRIES, _power(p, entries, floor + _FLOOR_TRIES) - floor)
-    tried = _stacks(ln, _candidate_digits(floor, tries, entries, p), "D")["D"]
+    tried = _stacks(ln, _candidate_digits(floor, tries, total - pairs_entries, p), "D")["D"]
     for j in range(tries):
         hits = _solved(p, {k: d if d.ndim == 2 else d[j] for k, d in tried.items()},
                        arrivals, count)
         if hits.size:
-            return floor + j, start + int(hits[0])
-    alive = np.arange(count)
+            return (floor + j, start + int(hits[0])), None
+    return None, arrivals
+
+
+def _eliminate(ln: LayeredNetwork, kept: list) -> tuple[int, int] | None:
+    """(d, cf) of the lowest solving index among the pairs of ``kept``,
+    consecutive (start, arrivals) batches, or None when no pair solves.
+    One batched elimination per session, on its arrivals merged, finds
+    the lowest D_k . Y_k = E_k on the pairs still solvable."""
+    p, start = ln.base.field.p, kept[0][0]
+    alive = np.arange(sum(len(arrivals[0][1]) for _, arrivals in kept))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("eliminate start=%d pairs=%d", start, alive.size)
     solutions: list[np.ndarray] = []
-    for _, y, lo, hi in arrivals:
+    for parts in zip(*(arrivals for _, arrivals in kept)):
+        _, y, lo, hi = parts[0]
         if hi == lo:
             continue
+        y = np.concatenate([part[1] for part in parts]) if len(parts) > 1 else y
         target = np.eye(hi - lo, y.shape[2], lo, dtype=np.int64)
         ok, x = lowest_solutions(_take(y, alive), target, p)
         alive = alive[ok]
@@ -320,11 +334,13 @@ def exhaustive_search(
     ``exhausted`` when the whole space fits within the budget and holds
     no solving code (so none exists at this vector length, horizon and
     width profile), or ``budget-exceeded`` when no index below the
-    budget solves.  The (encoder, relay) pairs are scanned ``chunk_size``
-    at a time, fewer when a batch's arrays would outgrow
-    ``MAX_DENSE_BYTES``.  Raises ``ValueError`` for a negative budget, a
-    chunk size below 1, or a pair whose arrays alone would outgrow
-    ``MAX_DENSE_BYTES`` once it has to be propagated.
+    budget solves.  The (encoder, relay) pairs are scanned in batches of
+    256, 1,024, 4,096, ... pairs, at most ``chunk_size`` and fewer when
+    a batch's arrays would outgrow ``MAX_DENSE_BYTES``; pairs that every
+    floor try misses are eliminated together, at most that many at once.
+    Raises ``ValueError`` for a negative budget, a chunk size below 1, or
+    a pair whose arrays alone would outgrow ``MAX_DENSE_BYTES`` once it
+    has to be propagated.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -340,15 +356,29 @@ def exhaustive_search(
     floor = _decoder_floor(ln, budget)
     best = bound
     if floor * pairs < bound and not _undecodable(ln):
-        batch = _batch_size(ln, pairs_entries, chunk_size)
-        start, stop = 0, min(pairs, bound - floor * pairs)
+        most = _batch_size(ln, pairs_entries, chunk_size)
+        size = min(_FIRST_BATCH, most)
+        decoders = _power(p, total_entries - pairs_entries, floor + _FLOOR_TRIES)
+        tries = min(_FLOOR_TRIES, decoders - floor)
+        # (start, arrivals) of consecutive batches that every try missed
+        start, stop, kept = 0, min(pairs, bound - floor * pairs), []
         # no pair from start on can give an index below floor * pairs + start
         while start < stop and best >= floor * pairs + start:
-            count = min(batch, stop - start)
-            hit = _lowest_decoders(ln, floor, start, count)
+            count = min(size, stop - start)
+            hit, arrivals = _propagate_and_try(ln, floor, tries, start, count)
             if hit is not None:
-                best = min(best, hit[0] * pairs + hit[1])
-            start += count
+                best, kept = min(best, hit[0] * pairs + hit[1]), []
+            elif (floor + tries) * pairs < best:  # else no missed pair can win
+                kept.append((start, arrivals))
+            if _log.isEnabledFor(logging.DEBUG):
+                state = f"hit try={hit[0] - floor}" if hit else "deferred" if kept else "dropped"
+                _log.debug("batch start=%d pairs=%d %s", start, count, state)
+            start, size = start + count, min(4 * size, most)
+            # kept pairs are eliminated together when the scan ends or when
+            # the next batch would not fit beside them
+            if kept and (start >= stop or start - kept[0][0] + min(size, stop - start) > most):
+                hit, kept = _eliminate(ln, kept), []
+                best = min(best, hit[0] * pairs + hit[1]) if hit else best
     if best < bound:
         code = _verified(ln, candidate_code(ln, best), f"index {best}")
         return SearchResult("found", code, best, best + 1)

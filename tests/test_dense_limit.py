@@ -14,7 +14,7 @@ from ldnc.search import candidate_code, exhaustive_search, random_search
 from helpers import identity_edge, random_scheme, triangle_network
 
 SHIFTS = "p: 2\nq: 2\nnodes: a b0 b1 b2\nedges:\n" + "".join(
-    f"  a -> b{i} gain shift g=1\n" for i in range(3)
+    f"  a -> b{g} gain shift g={g}\n" for g in range(3)
 )
 
 
@@ -26,7 +26,7 @@ def lift():
 # (refusal text, bytes needed, call, exception class); each call needs
 # less of every other guard
 GUARDS = [
-    # a running total of three 2x2 shift gains
+    # a running total of three distinct 2x2 shift gains
     pytest.param(
         "shift gains of size 2x2 need", 3 * 2**2 * 8,
         lambda: parse_network(SHIFTS), ParseError, id="shift-gains",

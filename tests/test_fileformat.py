@@ -257,11 +257,19 @@ def test_oversized_shift_gain_is_rejected_before_allocating():
     assert time.perf_counter() - start < 1.0
 
 
-def test_shift_gain_limit_counts_every_shift_gain(monkeypatch):
-    # three 2x2 int64 shift gains take 96 bytes; a fourth goes over
-    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 96)
+def test_equal_shift_gains_count_once_against_the_dense_limit(monkeypatch):
+    # four edges share one 2x2 int64 shift gain of 32 bytes
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 32)
     edges = "".join(f"  a -> b{i} gain shift g=1\n" for i in range(4))
-    head = "p: 2\nq: 2\nnodes: a b0 b1 b2 b3\nedges:\n"
-    assert len(parse_network(head + edges[: edges.index("  a -> b3")]).edges) == 3
+    ln = parse_network("p: 2\nq: 2\nnodes: a b0 b1 b2 b3\nedges:\n" + edges)
+    assert len({id(e.gain) for e in ln.edges}) == 1
+
+
+def test_distinct_shift_gains_each_count_against_the_dense_limit(monkeypatch):
+    # strengths 0, 1 and 2 build three 32-byte matrices, 96 bytes in all
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 64)
+    head = "p: 2\nq: 2\nnodes: a b0 b1 b2\nedges:\n"
+    edges = [f"  a -> b{g} gain shift g={g}\n" for g in range(3)]
+    assert len(parse_network(head + "".join(edges[:2])).edges) == 2
     with pytest.raises(ParseError):
-        parse_network(head + edges)
+        parse_network(head + "".join(edges))

@@ -1,10 +1,14 @@
+import logging
 import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from ldnc import gf_linalg, search
+from ldnc.cli import main
 from ldnc.coding import is_solving, transfer_matrices
+from ldnc.fileformat import parse_network, serialize_network
 from ldnc.gf_linalg import FieldModulus, GfMatrix, identity, zeros
 from ldnc.network import detect_layers, network, reciprocal_layered
 from ldnc.reciprocity import transpose_code
@@ -550,17 +554,17 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     # a dense limit of three candidates' digits cuts every batch to a few
     # candidates: the draw order and the first hits must not depend on it
     batches = []
-    lowest, solving = search._lowest_decoders, search._solving
+    propagate, solving = search._propagate_and_try, search._solving
 
-    def lowest_spy(ln, floor, start, count):
+    def propagate_spy(ln, floor, tries, start, count):
         batches.append(count)
-        return lowest(ln, floor, start, count)
+        return propagate(ln, floor, tries, start, count)
 
     def solving_spy(ln, digits):
         batches.append(digits.shape[1])
         return solving(ln, digits)
 
-    monkeypatch.setattr(search, "_lowest_decoders", lowest_spy)
+    monkeypatch.setattr(search, "_propagate_and_try", propagate_spy)
     monkeypatch.setattr(search, "_solving", solving_spy)
     rng = random.Random(78)
     instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), *layout_edge_cases(2, 2)]
@@ -648,6 +652,128 @@ def test_two_unicast_first_hit_needs_no_elimination(monkeypatch):
     result = exhaustive_search(ln, budget=2**23)
     assert (result.outcome, result.index, result.scanned) == ("found", 6723942, 6723943)
     assert is_solving(ln, result.code)
+
+
+# ---------------------------------------------------------------------------
+# growing batches
+# ---------------------------------------------------------------------------
+
+
+def diamond(gain_ad):
+    """s -> a, b -> d at q = 2: 4,096 (encoder, relay) pairs and 16 decoders.
+    With ``EXHAUSTED`` as the gain from a, every gain into d has rank 1
+    and no code solves."""
+    return detect_layers(parse_network(
+        "p: 2\nq: 2\nnodes: s a b d\nedges:\n"
+        "  s -> a gain [[1,0],[0,1]]\n  s -> b gain [[0,1],[1,0]]\n"
+        f"  a -> d gain {gain_ad}\n  b -> d gain [[1,1],[0,0]]\n"
+        "sessions:\n  1: s -> d width 1\n"
+    ))
+
+
+EXHAUSTED = "[[1,0],[0,0]]"
+
+
+def spy_batches(monkeypatch):
+    """Pair counts propagated and eliminated by each exhaustive batch."""
+    seen = {"propagated": [], "eliminated": []}
+    arrivals, lowest = search._arrivals, search.lowest_solutions
+
+    def arrivals_spy(ln, encoders, relays, count):
+        seen["propagated"].append(count)
+        return arrivals(ln, encoders, relays, count)
+
+    def lowest_spy(y, e, p):
+        seen["eliminated"].append(len(y))
+        return lowest(y, e, p)
+
+    monkeypatch.setattr(search, "_arrivals", arrivals_spy)
+    monkeypatch.setattr(search, "lowest_solutions", lowest_spy)
+    return seen
+
+
+def assert_matches_reference(ln, seen, **kwargs):
+    """The full-space search equals the reference; ``seen`` keeps its batches only."""
+    space = candidate_count(ln)
+    want = exhaustive_search_reference(ln, space)
+    for counts in seen.values():
+        counts.clear()
+    got = exhaustive_search(ln, budget=space, **kwargs)
+    assert (got.outcome, got.index, got.scanned, got.code) == (
+        want.outcome, want.index, want.scanned, want.code)
+    return got
+
+
+def test_an_early_hit_propagates_one_first_batch(monkeypatch):
+    ln = diamond("[[1,0],[0,1]]")
+    seen = spy_batches(monkeypatch)
+    got = assert_matches_reference(ln, seen)
+    assert got.outcome == "found" and got.index % 4096 < 256
+    assert seen == {"propagated": [256], "eliminated": []}
+
+
+def test_missed_batches_are_eliminated_together(monkeypatch):
+    seen = spy_batches(monkeypatch)
+    got = assert_matches_reference(diamond(EXHAUSTED), seen)
+    assert (got.outcome, got.scanned) == ("exhausted", 65536)
+    # one session, so one elimination over all three batches
+    assert seen == {"propagated": [256, 1024, 2816], "eliminated": [4096]}
+
+
+def test_chunk_size_caps_the_growing_batches(monkeypatch):
+    seen = spy_batches(monkeypatch)
+    assert_matches_reference(diamond(EXHAUSTED), seen, chunk_size=512)
+    # the first batch is eliminated alone, since the next would not fit beside it
+    assert seen["propagated"] == seen["eliminated"] == [256] + [512] * 7 + [256]
+
+
+def test_a_merged_elimination_finds_a_hit_past_the_tries(monkeypatch):
+    # d never receives coordinate 0, which every tried decoder reads, so
+    # the hit 660489 = 20 * 2**15 + 5129 needs elimination; smaller chunk
+    # sizes split the kept batches into several eliminations
+    ln = detect_layers(parse_network(
+        "p: 2\nq: 3\nnodes: s a d\nedges:\n  s -> a gain [[1,0,0],[0,1,0],[0,0,1]]\n"
+        "  a -> d gain [[0,0,0],[0,1,0],[0,0,1]]\nsessions:\n  1: s -> d width 1\n"
+    ))
+    seen = spy_batches(monkeypatch)
+    assert assert_matches_reference(ln, seen).index == 660489
+    assert seen == {"propagated": [256, 1024, 4096, 16384, 11008], "eliminated": [2**15]}
+    for chunk in (300, 4096):
+        assert_matches_reference(ln, seen, chunk_size=chunk)
+
+
+def test_each_batch_and_elimination_is_logged_at_debug(caplog, tmp_path):
+    caplog.set_level(logging.DEBUG, logger="ldnc.search")
+    exhaustive_search(diamond(EXHAUSTED))
+    exhaustive_search(diamond("[[1,0],[0,1]]"))
+    assert [r.getMessage() for r in caplog.records] == [
+        "batch start=0 pairs=256 deferred",
+        "batch start=256 pairs=1024 deferred",
+        "batch start=1280 pairs=2816 deferred",
+        "eliminate start=0 pairs=4096",
+        "batch start=0 pairs=256 hit try=0",
+    ]
+    # Y = [0, c0, 0]: odd pairs need decoder floor + 1, and once one has
+    # solved, a pair that every try misses cannot win and is dropped
+    caplog.clear()
+    ln = detect_layers(parse_network(
+        "p: 2\nq: 3\nnodes: s d\nedges:\n  s -> d gain [[0,0,0],[1,0,0],[0,0,0]]\n"
+        "sessions:\n  1: s -> d width 1\n"
+    ))
+    assert exhaustive_search(ln, chunk_size=1).index == 2 * 8 + 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "batch start=0 pairs=1 deferred",
+        "eliminate start=0 pairs=1",
+        *(f"batch start={cf} pairs=1 {'hit try=1' if cf % 2 else 'dropped'}" for cf in range(1, 8)),
+    ]
+    # the records go to logging only: the CLI prints the same either way
+    net = tmp_path / "diamond.net"
+    net.write_text(serialize_network(diamond("[[1,0],[0,1]]").base))
+    debug = CliRunner().invoke(main, ["search", str(net)])
+    caplog.set_level(logging.WARNING, logger="ldnc.search")
+    quiet = CliRunner().invoke(main, ["search", str(net)])
+    assert (debug.exit_code, debug.output) == (quiet.exit_code, quiet.output)
+    assert "batch" not in debug.output
 
 
 def test_exhaustive_survives_huge_moduli(monkeypatch):
