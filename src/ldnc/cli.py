@@ -93,6 +93,11 @@ def _echo_network_header(ln, fmt):
         )
 
 
+def _sep(fmt):
+    """What joins a key to its value: a space in structured output."""
+    return " " if fmt == "structured" else ": "
+
+
 def _echo_grid(gamma, fmt, label):
     ids = [s.id for s in gamma.sessions]
     for l in ids:
@@ -145,10 +150,7 @@ def cmd_transfer(network_file, code_file, fmt):
     _echo_network_header(ln, fmt)
     _echo_grid(gamma, fmt, "gamma")
     verdict = "solves" if gamma.is_identity_delta() else "does-not-solve"
-    if fmt == "structured":
-        _echo(f"verdict {verdict}")
-    else:
-        _echo(f"verdict: {verdict}")
+    _echo(f"verdict{_sep(fmt)}{verdict}")
 
 
 @main.command("reciprocal")
@@ -211,7 +213,7 @@ def cmd_search(network_file, budget, trials, seed, out_file, fmt):
         result = exhaustive_search(ln, budget=budget)
     else:
         result = random_search(ln, trials=trials, seed=seed)
-    sep = " " if fmt == "structured" else ": "
+    sep = _sep(fmt)
     _echo(f"outcome{sep}{result.outcome}")
     _echo(f"scanned{sep}{result.scanned}")
     if result.outcome == "found":
@@ -242,10 +244,7 @@ def cmd_simulate(network_file, code_file, message_file, fmt):
     outs = simulate(ln, code, messages)
     for s, out in zip(ln.base.sessions_sorted(), outs):
         flat = ",".join(str(out[i, 0]) for i in range(out.rows))
-        if fmt == "structured":
-            _echo(f"reconstruction {s.id} [{flat}]")
-        else:
-            _echo(f"reconstruction {s.id}: [{flat}]")
+        _echo(f"reconstruction {s.id}{_sep(fmt)}[{flat}]")
 
 
 @main.command("corpus")

@@ -254,22 +254,15 @@ def require_valid(n: Network) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _transposed_gains(edges: Iterable[Edge]) -> dict[int, GfMatrix]:
-    """The transpose of each distinct gain object, keyed by the gain's id,
-    so that edges sharing a gain, as an unfolding's copies of an edge do,
-    share one transpose."""
-    gains = {id(e.gain): e.gain for e in edges}
-    return {key: gain.T for key, gain in gains.items()}
-
-
 def reciprocal(n: Network) -> Network:
     """Reverse every edge, transpose every gain, swap session roles.
 
     Applying the construction twice returns a network structurally equal
-    to the original.  Edges that share a gain object share its transpose.
+    to the original.  Edges that share a gain object, as an unfolding's
+    copies of an edge do, share its transpose.
     """
     require_valid(n)
-    transposed = _transposed_gains(n.edges)
+    transposed = {key: g.T for key, g in {id(e.gain): e.gain for e in n.edges}.items()}
     return Network(
         field=n.field,
         q=n.q,

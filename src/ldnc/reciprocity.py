@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .coding import LinearCode, TransferMap, transfer_matrices, validate_code
 from .errors import NonShiftGainError
 from .gf_linalg import as_shift_strength, flip_matrix
-from .network import LayeredNetwork, _transposed_gains, reciprocal_layered
+from .network import Edge, LayeredNetwork, reciprocal_layered
 
 
 def transpose_code(ln: LayeredNetwork, code: LinearCode) -> LinearCode:
@@ -95,17 +95,17 @@ def verify_reciprocity(ln: LayeredNetwork, code: LinearCode) -> ReciprocityRepor
 def physical_reverse(ln: LayeredNetwork) -> LayeredNetwork:
     """The reverse network reusing the original gains on flipped edges.
 
-    This is the reciprocal with its gains transposed back: the physical
-    channel behaves identically in both directions, so the reverse link
-    keeps the forward gain matrix.
+    This is the reciprocal with the forward gains on its links: the
+    physical channel behaves identically in both directions, so the
+    reverse link keeps the forward gain matrix.
     """
-    return _gains_transposed(reciprocal_layered(ln))
+    return _physical(ln, reciprocal_layered(ln))
 
 
-def _gains_transposed(ln: LayeredNetwork) -> LayeredNetwork:
-    transposed = _transposed_gains(ln.base.edges)
-    edges = tuple(replace(e, gain=transposed[id(e.gain)]) for e in ln.base.edges)
-    return replace(ln, base=replace(ln.base, edges=edges))
+def _physical(ln: LayeredNetwork, rln: LayeredNetwork) -> LayeredNetwork:
+    """``rln``, the reciprocal of ``ln``, with ``ln``'s gains on its links."""
+    edges = tuple(Edge(e.dst, e.src, e.gain) for e in ln.base.edges)
+    return replace(rln, base=replace(rln.base, edges=edges))
 
 
 def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
@@ -128,7 +128,7 @@ def physical_code(ln: LayeredNetwork, rcode: LinearCode) -> LinearCode:
     validate_code(rln, rcode)
     j = flip_matrix(ln.base.field, ln.base.q)
     return LinearCode(
-        network=_gains_transposed(rln),
+        network=_physical(ln, rln),
         encoders={k: j @ c for k, c in rcode.encoders.items()},
         decoders={k: d @ j for k, d in rcode.decoders.items()},
         relays={v: j @ f @ j for v, f in rcode.relays.items()},

@@ -18,14 +18,16 @@ searches decide without drawing or propagating, nor any index below
 ``floor * p**m``, where ``floor`` is the lowest decoder index with every
 D_k of full rank: budgets at or below it end at once, and no pair is
 scanned that cannot beat the best.  Pairs go in batches of 256, 1,024,
-4,096, ... pairs.  A batch first tries the floor decoders and the next
-few decoder indices, one after another, with the check that random
-search runs: the first pair one solves gives the batch's lowest index,
-which no pair that every try misses can beat.  Batches that all tries
-miss are kept, and one batched GF(p) elimination per session
-(:func:`~ldnc.gf_linalg.lowest_solutions`) over their merged arrivals
-finds the lowest solving D_k of every pair, and the lowest index is the
-minimum of ``d_min * p**m + cf`` over the solvable pairs.
+4,096, ... pairs.  A batch tries at most three useful decoder indices,
+those from the floor up that can still put one of its pairs below the
+best index, one after another, with the check that random search runs:
+the first pair one solves gives the batch's lowest index.  The scan
+stops when no index is useful, and keeps a batch that every try misses
+only when useful indices remain past its tries; one batched GF(p)
+elimination per session (:func:`~ldnc.gf_linalg.lowest_solutions`) over
+the merged arrivals of kept batches finds the lowest solving D_k of
+every pair, and the lowest index is the minimum of ``d_min * p**m + cf``
+over the solvable pairs.
 
 Both searches lay a batch out the same way: candidates become one
 (entries, batch) int64 digit array, which exhaustive search cuts off
@@ -277,11 +279,13 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
 def _propagate_and_try(ln: LayeredNetwork, floor: int, tries: int, start: int, count: int):
     """Propagate pairs start .. start+count-1 and try decoder indices
     floor .. floor+tries-1 on them in turn, each with the check random
-    search runs.  No index below ``floor * p**m`` solves and each decoder
-    index adds p**m, so the first pair the first solving try solves gives
-    the batch's lowest index: returns ((d, cf), None) for it, or (None,
-    arrivals) for :func:`_eliminate` when every try misses.  The floor
-    decoders solve the first pair of all when every session has width 0.
+    search runs; each of them can still put a pair from ``start`` on below
+    the best index.  No index below ``floor * p**m`` solves and each
+    decoder index adds p**m, so the first pair the first solving try
+    solves gives the batch's lowest index: returns ((d, cf), None) for
+    it, or (None, arrivals) for :func:`_eliminate` when every try misses.
+    The floor decoders solve the first pair of all when every session
+    has width 0.
     """
     p = ln.base.field.p
     _, pairs_entries, total = ln._code_layout
@@ -358,20 +362,21 @@ def exhaustive_search(
     if floor * pairs < bound and not _undecodable(ln):
         most = _batch_size(ln, pairs_entries, chunk_size)
         size = min(_FIRST_BATCH, most)
-        decoders = _power(p, total_entries - pairs_entries, floor + _FLOOR_TRIES)
-        tries = min(_FLOOR_TRIES, decoders - floor)
         # (start, arrivals) of consecutive batches that every try missed
         start, stop, kept = 0, min(pairs, bound - floor * pairs), []
-        # no pair from start on can give an index below floor * pairs + start
-        while start < stop and best >= floor * pairs + start:
-            count = min(size, stop - start)
+        # useful: decoder indices from the floor up that can still put a pair
+        # from start on below best; a kept batch implies best > (floor + 1) *
+        # pairs, so useful stays above 0 until kept batches are eliminated
+        while start < stop and (useful := -(-(best - start) // pairs) - floor) > 0:
+            count, tries = min(size, stop - start), min(_FLOOR_TRIES, useful)
             hit, arrivals = _propagate_and_try(ln, floor, tries, start, count)
             if hit is not None:
                 best, kept = min(best, hit[0] * pairs + hit[1]), []
-            elif (floor + tries) * pairs < best:  # else no missed pair can win
+            elif tries < useful:  # else no pair that every try missed can win
                 kept.append((start, arrivals))
             if _log.isEnabledFor(logging.DEBUG):
-                state = f"hit try={hit[0] - floor}" if hit else "deferred" if kept else "dropped"
+                state = f"hit try={hit[0] - floor}" if hit else (
+                    "deferred" if tries < useful else "dropped")
                 _log.debug("batch start=%d pairs=%d %s", start, count, state)
             start, size = start + count, min(4 * size, most)
             # kept pairs are eliminated together when the scan ends or when

@@ -615,8 +615,12 @@ def test_random_search_is_deterministic_per_seed():
     assert a.index == b.index
     assert a.code.encoders[1] == b.code.encoders[1]
     assert a.code.decoders[1] == b.code.decoders[1]
-    c = random_search(ln, trials=500, seed=12)
-    assert (c.index, c.code.encoders[1]) != (a.index, a.code.encoders[1]) or True
+    # a search that ignored the seed would give every seed the same answer
+    answers = {
+        (r.index, r.code.encoders[1])
+        for r in (random_search(ln, trials=500, seed=seed) for seed in range(11, 21))
+    }
+    assert len(answers) > 1
 
 
 def test_transfer_grid_of_found_code_is_kronecker():
@@ -692,13 +696,14 @@ def spy_batches(monkeypatch):
     return seen
 
 
-def assert_matches_reference(ln, seen, **kwargs):
-    """The full-space search equals the reference; ``seen`` keeps its batches only."""
-    space = candidate_count(ln)
-    want = exhaustive_search_reference(ln, space)
+def assert_matches_reference(ln, seen, budget=None, **kwargs):
+    """The search, over the full space unless a budget is given, equals the
+    reference; ``seen`` keeps its batches only."""
+    budget = candidate_count(ln) if budget is None else budget
+    want = exhaustive_search_reference(ln, budget)
     for counts in seen.values():
         counts.clear()
-    got = exhaustive_search(ln, budget=space, **kwargs)
+    got = exhaustive_search(ln, budget=budget, **kwargs)
     assert (got.outcome, got.index, got.scanned, got.code) == (
         want.outcome, want.index, want.scanned, want.code)
     return got
@@ -742,6 +747,41 @@ def test_a_merged_elimination_finds_a_hit_past_the_tries(monkeypatch):
         assert_matches_reference(ln, seen, chunk_size=chunk)
 
 
+def second_row_edge():
+    """s -> d at q = 3 with Y = [0, c0, 0]: 8 pairs, and decoder floor 1,
+    D = [1,0,0], never solves; odd pairs solve at floor + 1, index 17."""
+    return detect_layers(parse_network(
+        "p: 2\nq: 3\nnodes: s d\nedges:\n  s -> d gain [[0,0,0],[1,0,0],[0,0,0]]\n"
+        "sessions:\n  1: s -> d width 1\n"
+    ))
+
+
+def spy_solved(monkeypatch):
+    """Calls of search._solved, one per decoder index tried on a batch."""
+    calls, solved = [], search._solved
+
+    def solved_spy(p, decoders, arrivals, count):
+        calls.append(count)
+        return solved(p, decoders, arrivals, count)
+
+    monkeypatch.setattr(search, "_solved", solved_spy)
+    return calls
+
+
+@pytest.mark.parametrize("budget, result, calls", [
+    (None, ("found", 17, 18), 3 + 2 + 6),
+    (16, ("budget-exceeded", None, 16), 8),
+], ids=["full-space", "budget-16"])
+def test_batches_try_only_the_decoders_that_can_still_win(monkeypatch, budget, result, calls):
+    # in the full space, pair 0 tries floor .. floor + 2 and pair 1 hits at
+    # floor + 1, index 17, which only the floor can beat: pairs 2 to 7 try it
+    # alone.  Below budget 16 = (floor + 1) * 8 every pair tries the floor alone
+    seen = {"solved": spy_solved(monkeypatch)}
+    got = assert_matches_reference(second_row_edge(), seen, budget=budget, chunk_size=1)
+    assert (got.outcome, got.index, got.scanned) == result
+    assert len(seen["solved"]) == calls
+
+
 def test_each_batch_and_elimination_is_logged_at_debug(caplog, tmp_path):
     caplog.set_level(logging.DEBUG, logger="ldnc.search")
     exhaustive_search(diamond(EXHAUSTED))
@@ -753,18 +793,27 @@ def test_each_batch_and_elimination_is_logged_at_debug(caplog, tmp_path):
         "eliminate start=0 pairs=4096",
         "batch start=0 pairs=256 hit try=0",
     ]
-    # Y = [0, c0, 0]: odd pairs need decoder floor + 1, and once one has
-    # solved, a pair that every try misses cannot win and is dropped
+    # odd pairs need decoder floor + 1, and once one has solved, later
+    # pairs try the floor alone, which misses them all, and are dropped
     caplog.clear()
-    ln = detect_layers(parse_network(
-        "p: 2\nq: 3\nnodes: s d\nedges:\n  s -> d gain [[0,0,0],[1,0,0],[0,0,0]]\n"
-        "sessions:\n  1: s -> d width 1\n"
-    ))
-    assert exhaustive_search(ln, chunk_size=1).index == 2 * 8 + 1
+    assert exhaustive_search(second_row_edge(), chunk_size=1).index == 2 * 8 + 1
     assert [r.getMessage() for r in caplog.records] == [
         "batch start=0 pairs=1 deferred",
         "eliminate start=0 pairs=1",
-        *(f"batch start={cf} pairs=1 {'hit try=1' if cf % 2 else 'dropped'}" for cf in range(1, 8)),
+        "batch start=1 pairs=1 hit try=1",
+        *(f"batch start={cf} pairs=1 dropped" for cf in range(2, 8)),
+    ]
+    # the window narrows without a hit too: the diamond's floor is 6, and a
+    # pair from 300 on can beat budget 9 * 4096 + 300 only at decoder 6, 7 or
+    # 8, which its batch tries, so the third batch is dropped and the first
+    # two are eliminated alone
+    caplog.clear()
+    assert_matches_reference(diamond(EXHAUSTED), {}, budget=9 * 4096 + 300)
+    assert [r.getMessage() for r in caplog.records] == [
+        "batch start=0 pairs=256 deferred",
+        "batch start=256 pairs=1024 deferred",
+        "batch start=1280 pairs=2816 dropped",
+        "eliminate start=0 pairs=1280",
     ]
     # the records go to logging only: the CLI prints the same either way
     net = tmp_path / "diamond.net"
