@@ -17,29 +17,28 @@ when no path of nonzero gains reaches its destination, which both
 searches decide without drawing or propagating, nor any index below
 ``floor * p**m``, where ``floor`` is the lowest decoder index with every
 D_k of full rank: budgets at or below it end at once, and no pair is
-scanned that cannot beat the best.  Pairs go in batches of 256, 1,024,
-4,096, ... pairs.  A batch tries at most three useful decoder indices,
-those from the floor up that can still put one of its pairs below the
-best index, one after another, with the check that random search runs:
-the first pair one solves gives the batch's lowest index.  The scan
-stops when no index is useful, and keeps a batch that every try misses
-only when useful indices remain past its tries; one batched GF(p)
+scanned that cannot beat the best.  A batch of pairs tries at most
+three useful decoder indices, those from the floor up that can still
+put one of its pairs below the best index, one after another: the
+first pair one solves gives the batch's lowest index.  The scan stops
+when no index is useful, and keeps a batch that every try misses only
+when useful indices remain past its tries; one batched GF(p)
 elimination per session (:func:`~ldnc.gf_linalg.lowest_solutions`) over
 the merged arrivals of kept batches finds the lowest solving D_k of
 every pair, and the lowest index is the minimum of ``d_min * p**m + cf``
 over the solvable pairs.
 
-Both searches lay a batch out the same way: candidates become one
-(entries, batch) int64 digit array, which exhaustive search cuts off
-above the batch's top digit, and its encoder and relay stacks go
-to the one propagation kernel, :func:`ldnc.coding._arrivals`, which
-:func:`~ldnc.coding.simulate` runs too.  It sends every session as the
-column block of its message in one shared transmission and yields each
-Y_k, all zero when nothing reaches d_k; the selectors E_k and the
-decoder checks stay here.  :func:`random_search` sends its sampled
-trials, decoders included, in batches of 1, 2, 4, ... candidates and
-checks the drawn D_k . Y_k = E_k destination by destination, only on
-the candidates that passed the earlier ones.
+Both searches run one batch schedule and one batch step.  A batch of
+256, 1,024, 4,096, ... candidates, (encoder, relay) pairs or random
+trials, is one (entries, batch) int64 digit array, which exhaustive
+search cuts off above the batch's top digit.  The step sends its
+encoder and relay stacks once through the one propagation kernel,
+:func:`ldnc.coding._arrivals`, which :func:`~ldnc.coding.simulate` runs
+too: every session is the column block of its message in one shared
+transmission, and each Y_k is all zero when nothing reaches d_k.  It
+then checks decoder sets in turn, the floor tries or the drawn
+decoders, D_k . Y_k = E_k destination by destination, each only on the
+candidates that passed the earlier ones.
 Every product, in the kernel and in the decoder checks, is one
 :func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
 fits it, Python integers otherwise, so the search is exact for every
@@ -66,8 +65,8 @@ _DRAW_WORDS = 1 << 14
 # decoder indices from the floor up that exhaustive search tries before it
 # solves: a try costs a small part of a solve, and misses sit near the floor
 _FLOOR_TRIES = 3
-# pairs in exhaustive search's first batch, each later one 4x the last: a
-# batch's fixed cost is that of propagating a few hundred pairs
+# candidates in the first batch of either search, each later one 4x the
+# last: a batch's fixed cost is that of propagating a few hundred of them
 _FIRST_BATCH = 256
 _log = logging.getLogger("ldnc.search")
 
@@ -212,14 +211,6 @@ def _solved(p: int, decoders, arrivals, count: int) -> np.ndarray:
     return alive
 
 
-def _solving(ln: LayeredNetwork, digits: np.ndarray) -> np.ndarray:
-    """Ascending indices of the solving candidates of a batch given as
-    (entries, batch) digits, propagated once and checked by :func:`_solved`."""
-    count = digits.shape[1]
-    mats = _stacks(ln, digits, "CFD")
-    return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
-
-
 def _verified(ln: LayeredNetwork, code: LinearCode, where: str) -> LinearCode:
     """Re-check a batched hit through the independent transfer-matrix path."""
     if not is_solving(ln, code):
@@ -276,35 +267,37 @@ def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 
-def _propagate_and_try(ln: LayeredNetwork, floor: int, tries: int, start: int, count: int):
-    """Propagate pairs start .. start+count-1 and try decoder indices
-    floor .. floor+tries-1 on them in turn, each with the check random
-    search runs; each of them can still put a pair from ``start`` on below
-    the best index.  No index below ``floor * p**m`` solves and each
-    decoder index adds p**m, so the first pair the first solving try
-    solves gives the batch's lowest index: returns ((d, cf), None) for
-    it, or (None, arrivals) for :func:`_eliminate` when every try misses.
-    The floor decoders solve the first pair of all when every session
-    has width 0.
+def _batches(stop: int, most: int):
+    """(start, count) of the batches that cover 0 .. stop-1 in order:
+    ``_FIRST_BATCH`` candidates, each later batch 4x the last, at most ``most``."""
+    start, size = 0, min(_FIRST_BATCH, most)
+    while start < stop:
+        count = min(size, stop - start)
+        yield start, count
+        start, size = start + count, min(4 * size, most)
+
+
+def _first_solved(ln: LayeredNetwork, mats, decoder_sets, count: int):
+    """Propagate a batch of ``count`` candidates once, its ``C`` and ``F``
+    stacks from :func:`_stacks` in ``mats``, and check each decoder set of
+    ``decoder_sets`` on it in turn with :func:`_solved`.  Returns ((j, i),
+    None) for the first set j that solves some candidate and the lowest
+    candidate i it solves, or (None, arrivals) when no set solves.
     """
-    p = ln.base.field.p
-    _, pairs_entries, total = ln._code_layout
-    mats = _stacks(ln, _candidate_digits(start, count, pairs_entries, p), "CF")
     arrivals = list(_arrivals(ln, mats["C"], mats["F"], count))
-    tried = _stacks(ln, _candidate_digits(floor, tries, total - pairs_entries, p), "D")["D"]
-    for j in range(tries):
-        hits = _solved(p, {k: d if d.ndim == 2 else d[j] for k, d in tried.items()},
-                       arrivals, count)
+    for j, decoders in enumerate(decoder_sets):
+        hits = _solved(ln.base.field.p, decoders, arrivals, count)
         if hits.size:
-            return (floor + j, start + int(hits[0])), None
+            return (j, int(hits[0])), None
     return None, arrivals
 
 
-def _eliminate(ln: LayeredNetwork, kept: list) -> tuple[int, int] | None:
-    """(d, cf) of the lowest solving index among the pairs of ``kept``,
-    consecutive (start, arrivals) batches, or None when no pair solves.
-    One batched elimination per session, on its arrivals merged, finds
-    the lowest D_k . Y_k = E_k on the pairs still solvable."""
+def _eliminate(ln: LayeredNetwork, kept: list, pairs: int, best: int) -> int:
+    """The lowest solving index d * pairs + cf among the pairs cf of
+    ``kept``, consecutive (start, arrivals) batches, when below ``best``;
+    ``best`` otherwise.  One batched elimination per session, on its
+    arrivals merged, finds the lowest D_k . Y_k = E_k on the pairs still
+    solvable."""
     p, start = ln.base.field.p, kept[0][0]
     alive = np.arange(sum(len(arrivals[0][1]) for _, arrivals in kept))
     if _log.isEnabledFor(logging.DEBUG):
@@ -319,14 +312,14 @@ def _eliminate(ln: LayeredNetwork, kept: list) -> tuple[int, int] | None:
         ok, x = lowest_solutions(_take(y, alive), target, p)
         alive = alive[ok]
         if not alive.size:
-            return None
+            return best
         solutions = [sol[ok] for sol in solutions] + [x[ok]]
     # decoder digits, least significant first; lexsort keys on the last one
     # first and keeps ties in pair order
     dec = np.concatenate([x.reshape(alive.size, -1) for x in solutions], axis=1)
-    best = int(np.lexsort(dec.T)[0])
-    d = sum(int(v) * p**e for e, v in enumerate(dec[best]))
-    return d, start + int(alive[best])
+    first = int(np.lexsort(dec.T)[0])
+    d = sum(int(v) * p**e for e, v in enumerate(dec[first]))
+    return min(best, d * pairs + start + int(alive[first]))
 
 
 def exhaustive_search(
@@ -361,29 +354,35 @@ def exhaustive_search(
     best = bound
     if floor * pairs < bound and not _undecodable(ln):
         most = _batch_size(ln, pairs_entries, chunk_size)
-        size = min(_FIRST_BATCH, most)
-        # (start, arrivals) of consecutive batches that every try missed
-        start, stop, kept = 0, min(pairs, bound - floor * pairs), []
-        # useful: decoder indices from the floor up that can still put a pair
-        # from start on below best; a kept batch implies best > (floor + 1) *
-        # pairs, so useful stays above 0 until kept batches are eliminated
-        while start < stop and (useful := -(-(best - start) // pairs) - floor) > 0:
-            count, tries = min(size, stop - start), min(_FLOOR_TRIES, useful)
-            hit, arrivals = _propagate_and_try(ln, floor, tries, start, count)
+        kept = []  # (start, arrivals) of consecutive batches that every try missed
+        for start, count in _batches(min(pairs, bound - floor * pairs), most):
+            # kept pairs are eliminated together when this batch would not
+            # fit beside them, and when the scan ends
+            if kept and start - kept[0][0] + count > most:
+                best, kept = _eliminate(ln, kept, pairs, best), []
+            # decoder indices from the floor up that can still put a pair
+            # from start on below best
+            useful = -(-(best - start) // pairs) - floor
+            if useful <= 0:
+                break
+            tries = min(_FLOOR_TRIES, useful)
+            digits = _candidate_digits(floor, tries, total_entries - pairs_entries, p)
+            tried = _stacks(ln, digits, "D")["D"]
+            mats = _stacks(ln, _candidate_digits(start, count, pairs_entries, p), "CF")
+            sets = ({k: d if d.ndim == 2 else d[j] for k, d in tried.items()} for j in range(tries))
+            hit, arrivals = _first_solved(ln, mats, sets, count)
+            # no index below floor * pairs solves and each decoder index adds
+            # pairs, so the first solving try's first pair is the batch's lowest
             if hit is not None:
-                best, kept = min(best, hit[0] * pairs + hit[1]), []
+                best, kept = min(best, (floor + hit[0]) * pairs + start + hit[1]), []
             elif tries < useful:  # else no pair that every try missed can win
                 kept.append((start, arrivals))
             if _log.isEnabledFor(logging.DEBUG):
-                state = f"hit try={hit[0] - floor}" if hit else (
+                state = f"hit try={hit[0]}" if hit else (
                     "deferred" if tries < useful else "dropped")
                 _log.debug("batch start=%d pairs=%d %s", start, count, state)
-            start, size = start + count, min(4 * size, most)
-            # kept pairs are eliminated together when the scan ends or when
-            # the next batch would not fit beside them
-            if kept and (start >= stop or start - kept[0][0] + min(size, stop - start) > most):
-                hit, kept = _eliminate(ln, kept), []
-                best = min(best, hit[0] * pairs + hit[1]) if hit else best
+        if kept:
+            best = _eliminate(ln, kept, pairs, best)
     if best < bound:
         code = _verified(ln, candidate_code(ln, best), f"index {best}")
         return SearchResult("found", code, best, best + 1)
@@ -428,9 +427,10 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     Entries are drawn in enumeration order, one candidate per trial, so
     equal seeds replay identical candidate sequences: the values of
     ``random.Random(seed).randrange(p)``, taken a batch at a time.  Trials are
-    evaluated in batches of 1, 2, 4, ... up to the scan chunk size, or
-    less when the batch's arrays would outgrow ``MAX_DENSE_BYTES``, so a
-    search that hits early draws at most twice the trials it needs.
+    drawn and evaluated in batches of 256, 1,024, 4,096, ... up to the
+    scan chunk size, or fewer when the batch's arrays would outgrow
+    ``MAX_DENSE_BYTES``, so a search that hits within its first 256
+    trials still draws 256 of them, or all of them when it has fewer.
     Raises ``ValueError`` for fewer than one trial, or before drawing
     anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``;
     past those checks, a session no code decodes leaves nothing to draw.
@@ -440,21 +440,19 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     total_entries = ln._code_layout[2]
     p = ln.base.field.p
     rng = random.Random(seed)
-    drawn, size, most = 0, 1, _batch_size(ln, total_entries, _CHUNK)
+    most = _batch_size(ln, total_entries, _CHUNK)
     if _undecodable(ln):
         return SearchResult("not-found", None, None, trials)
     # values drawn for a batch beyond its entries start the next one
     pending = np.zeros(0, dtype=np.int64)
-    while drawn < trials:
-        count = min(size, trials - drawn)
+    for drawn, count in _batches(trials, most):
         entries = np.empty(count * total_entries, dtype=np.int64)
         pending = _randrange_fill(rng, p, entries, pending)
         digits = entries.reshape(count, total_entries).T
-        hits = _solving(ln, digits)
-        if hits.size:
-            trial = drawn + int(hits[0]) + 1
-            code = _code_from_entries(ln, digits[:, hits[0]])
+        mats = _stacks(ln, digits, "CFD")
+        hit, _ = _first_solved(ln, mats, [mats["D"]], count)
+        if hit is not None:
+            trial = drawn + hit[1] + 1
+            code = _code_from_entries(ln, digits[:, hit[1]])
             return SearchResult("found", _verified(ln, code, f"trial {trial}"), trial, trial)
-        drawn += count
-        size = min(2 * size, most)
     return SearchResult("not-found", None, None, trials)

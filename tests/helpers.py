@@ -7,7 +7,7 @@ import sys
 import numpy as np
 
 from ldnc import gf_linalg
-from ldnc.coding import LinearCode, TransferMap, is_solving, validate_code
+from ldnc.coding import LinearCode, TransferMap, _arrivals, is_solving, validate_code
 from ldnc.errors import CodeBindingError, NotLayeredError, ParseError
 from ldnc.gf_linalg import (
     FieldModulus,
@@ -23,7 +23,8 @@ from ldnc.search import (
     _CHUNK,
     _candidate_digits,
     _code_from_entries,
-    _solving,
+    _solved,
+    _stacks,
     _verified,
     candidate_code,
 )
@@ -573,7 +574,8 @@ def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
     """Ascending offsets from ``start`` of the solving candidates among
     start .. start+count-1, decoders included."""
     digits = _candidate_digits(start, count, ln._code_layout[2], ln.base.field.p)
-    return _solving(ln, digits)
+    mats = _stacks(ln, digits, "CFD")
+    return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
 
 
 def record_exact_products(monkeypatch) -> list[int]:

@@ -477,11 +477,13 @@ def test_batched_hits_are_reverified(monkeypatch):
 
 
 def test_random_search_matches_per_trial_reference():
-    # batches of 1, 2, 4, ... trials must replay the per-trial loop exactly,
-    # including hits and trial counts that cross a batch boundary
+    # batches of 256, 1,024, ... trials must replay the per-trial loop
+    # exactly, including hits and trial counts that cross a batch boundary;
+    # identity_edge(p=5, q=2, width=2) hits past trial 256 at seeds 0 to 2
     rng = random.Random(77)
-    instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), zero_edge()]
-    while len(instances) < 6:
+    instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), zero_edge(),
+                 identity_edge(p=5, q=2, width=2)]
+    while len(instances) < 7:
         ln = random_layered_instance(
             rng, p_choices=(2, 3), q_choices=(1, 2), horizon_choices=(1, 2),
             max_per_layer=2, max_sessions=2, width_choices=(1,),
@@ -493,7 +495,7 @@ def test_random_search_matches_per_trial_reference():
     late_hits = 0
     for ln in instances:
         for seed in (0, 1, 2, 3):
-            for trials in (1, 2, 3, 4, 7, 8, 9, 40, 400):
+            for trials in (1, 2, 3, 40, 256, 257, 400, 1280, 1281):
                 got = random_search(ln, trials=trials, seed=seed)
                 want = random_search_reference(ln, trials=trials, seed=seed)
                 assert (got.outcome, got.index, got.scanned) == (
@@ -501,7 +503,7 @@ def test_random_search_matches_per_trial_reference():
                 )
                 assert got.code == want.code
                 assert ln is not edge_cases[-1] or got.outcome == "not-found"
-                late_hits += got.outcome == "found" and got.index > 8
+                late_hits += got.outcome == "found" and got.index > 256
     assert late_hits > 0
 
 
@@ -521,20 +523,22 @@ def test_random_search_draws_replay_randrange(monkeypatch, p):
         assert got == [want.randrange(p) for _ in range(5000)]
     monkeypatch.undo()
     drawn = []
-    solving = search._solving
+    fill = search._randrange_fill
 
-    def solving_spy(ln, digits):
-        drawn.extend(digits.T.ravel().tolist())
-        return solving(ln, digits)
+    def fill_spy(rng, p, out, pending):
+        pending = fill(rng, p, out, pending)
+        drawn.extend(out.tolist())
+        return pending
 
-    monkeypatch.setattr(search, "_solving", solving_spy)
+    monkeypatch.setattr(search, "_randrange_fill", fill_spy)
     edge_cases = layout_edge_cases(p, 2)
     decided = edge_cases[-1]  # unreachable_destination
     for ln in (identity_edge(p), identity_edge(p, q=2, width=1), *edge_cases):
         entries = free_entry_count(ln)
         for seed in (0, 5, 9):
-            # 1 + 2 + ... + 64 = 127 trials end a batch; 130 cross into the next
-            for trials in (1, 3, 4, 7, 130):
+            # batches of 256 and 1,024 trials end at 256 and 1,280; 257 and
+            # 1,281 cross into the next batch
+            for trials in (1, 256, 257, 1280, 1281):
                 drawn.clear()
                 got = random_search(ln, trials=trials, seed=seed)
                 want = random_search_reference(ln, trials=trials, seed=seed)
@@ -547,25 +551,22 @@ def test_random_search_draws_replay_randrange(monkeypatch, p):
                 if ln is decided:  # no path of nonzero gains reaches d: nothing drawn
                     assert drawn == []
                 else:
-                    assert len(drawn) >= entries * got.scanned
+                    # every trial up to the end of the batch that decides
+                    batch_end = next(end for end in (256, 1280, 5376) if end >= got.scanned)
+                    assert len(drawn) == entries * min(trials, batch_end)
 
 
 def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
     # a dense limit of three candidates' digits cuts every batch to a few
     # candidates: the draw order and the first hits must not depend on it
     batches = []
-    propagate, solving = search._propagate_and_try, search._solving
+    arrivals = search._arrivals
 
-    def propagate_spy(ln, floor, tries, start, count):
+    def arrivals_spy(ln, encoders, relays, count):
         batches.append(count)
-        return propagate(ln, floor, tries, start, count)
+        return arrivals(ln, encoders, relays, count)
 
-    def solving_spy(ln, digits):
-        batches.append(digits.shape[1])
-        return solving(ln, digits)
-
-    monkeypatch.setattr(search, "_propagate_and_try", propagate_spy)
-    monkeypatch.setattr(search, "_solving", solving_spy)
+    monkeypatch.setattr(search, "_arrivals", arrivals_spy)
     rng = random.Random(78)
     instances = [identity_edge(p=5), identity_edge(p=3, q=2, width=1), *layout_edge_cases(2, 2)]
     while len(instances) < 8:
@@ -585,8 +586,8 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
         assert got.code == want.code
         hits_past_first_batch += got.outcome == "found" and len(batches) > 1
         for seed in (0, 1, 2):
-            got = random_search(ln, trials=40, seed=seed)
-            want = random_search_reference(ln, trials=40, seed=seed)
+            got = random_search(ln, trials=257, seed=seed)
+            want = random_search_reference(ln, trials=257, seed=seed)
             assert (got.outcome, got.index, got.scanned) == (want.outcome, want.index, want.scanned)
             assert got.code == want.code
         assert max(batches, default=0) <= 4
@@ -723,6 +724,19 @@ def test_missed_batches_are_eliminated_together(monkeypatch):
     assert (got.outcome, got.scanned) == ("exhausted", 65536)
     # one session, so one elimination over all three batches
     assert seen == {"propagated": [256, 1024, 2816], "eliminated": [4096]}
+
+
+@pytest.mark.parametrize("trials, propagated", [(20, [20]), (1300, [256, 1024, 20])])
+def test_random_search_grows_its_batches_like_the_scan(monkeypatch, trials, propagated):
+    # no code solves the exhausted diamond, so every trial is drawn and
+    # propagated: 256 candidates, then 4x the last
+    ln = diamond(EXHAUSTED)
+    want = random_search_reference(ln, trials, seed=2)
+    seen = spy_batches(monkeypatch)
+    got = random_search(ln, trials=trials, seed=2)
+    assert (got.outcome, got.index, got.scanned, got.code) == (
+        want.outcome, want.index, want.scanned, want.code)
+    assert (got.outcome, seen["propagated"]) == ("not-found", propagated)
 
 
 def test_chunk_size_caps_the_growing_batches(monkeypatch):
