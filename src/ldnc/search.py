@@ -11,13 +11,14 @@ order is part of the public contract and results are reproducible.
 relay entries, a candidate index splits as ``d * p**m + cf``: cf numbers
 the (encoder, relay) pairs and d the decoders.  Once a pair is fixed,
 destination k receives Y_k = [Y_k1 ... Y_kn] and a decoder D_k solves
-exactly when D_k . Y_k = E_k, the selector of message k.  A solving D_k
-has full row rank, so none exists when a message is longer than q or
-when no path of nonzero gains reaches its destination, which both
-searches decide without drawing or propagating, nor any index below
-``floor * p**m``, where ``floor`` is the lowest decoder index with every
-D_k of full rank: budgets at or below it end at once, and no pair is
-scanned that cannot beat the best.  A batch of pairs tries at most
+exactly when D_k . Y_k = E_k, the selector of message k.  No code solves
+when the messages at one source, or at one destination, are longer than
+q together, or when no path of nonzero gains reaches some d_k
+(:func:`_undecodable`), and both searches decide these without drawing
+or propagating.  A solving D_k has full row rank, so no index below
+``floor * p**m`` solves, ``floor`` being the lowest decoder index with
+every D_k of full rank: budgets at or below it end at once, and no pair
+is scanned that cannot beat the best.  A batch of pairs tries at most
 three useful decoder indices, those from the floor up that can still
 put one of its pairs below the best index, one after another: the
 first pair one solves gives the batch's lowest index.  The scan stops
@@ -132,29 +133,30 @@ def _candidate_digits(start: int, count: int, total_entries: int, p: int) -> np.
     """Base-p digits of candidates start .. start+count-1, one row per entry.
 
     Digit e is constant over runs of p**e consecutive indices, so each row
-    is written as repeated runs rather than divided out per candidate.
-    The rows stop at the largest index's top digit, at most
-    ``total_entries`` of them: every digit above it is zero in the batch.
+    is written as repeated runs rather than divided out per candidate, and
+    the rows with runs of at least ``count``, which roll over at one index
+    if at all, as two blocks.  The rows stop at the largest index's top
+    digit, at most ``total_entries`` of them: every digit above it is zero.
     """
     top = start + count - 1
     rows, run = 0, 1
     while rows < total_entries and run <= top:
         rows, run = rows + 1, run * p
     digits = np.empty((rows, count), dtype=np.int64)
-    run = 1
-    for e in range(rows):
+    run, e = 1, 0
+    while e < rows and run < count:
         offset = start % run
-        first = (start // run) % p
-        if run >= count:
-            # at most two runs: the digit rolls over once inside the chunk
-            split = min(run - offset, count)
-            digits[e, :split] = first
-            digits[e, split:] = (first + 1) % p
-        else:
-            runs = -(-(offset + count) // run)
-            values = (first + np.arange(runs, dtype=np.int64)) % p
-            digits[e] = np.repeat(values, run)[offset:offset + count]
-        run *= p
+        runs = -(-(offset + count) // run)
+        values = ((start // run) % p + np.arange(runs, dtype=np.int64)) % p
+        digits[e] = np.repeat(values, run)[offset:offset + count]
+        run, e = run * p, e + 1
+    split = min(run - start % run, count)
+    for at, lo, hi in ((start, 0, split), (start + split, split, count))[:1 + (split < count)]:
+        column, rest = [], at // run
+        for _ in range(rows - e):
+            rest, digit = divmod(rest, p)
+            column.append(digit)
+        digits[e:, lo:hi] = np.array(column, dtype=np.int64)[:, np.newaxis]
     return digits
 
 
@@ -229,8 +231,15 @@ def _power(p: int, e: int, cap: int) -> int:
 
 
 def _undecodable(ln: LayeredNetwork) -> bool:
-    """No code can solve: a message is longer than q, or nothing reaches some d_k."""
-    return ln.base._unreachable or any(ln.message_length(s) > ln.base.q for s in ln.base.sessions)
+    """No code can solve: the messages at one source, or at one destination,
+    are longer than q together, too long for its one q-row transmission or
+    arrival to map onto as the identity, or nothing reaches some d_k.  The
+    reciprocal swaps sources and destinations, so it gets the same verdict."""
+    load: dict[str, int] = {}
+    for s in ln.base.sessions:
+        for node in (s.source, s.destination):
+            load[node] = load.get(node, 0) + ln.message_length(s)
+    return max(load.values(), default=0) > ln.base.q or ln.base._unreachable
 
 
 def _decoder_floor(ln: LayeredNetwork, cap: int) -> int:
@@ -241,8 +250,8 @@ def _decoder_floor(ln: LayeredNetwork, cap: int) -> int:
     row-major from ``base``, its offset past the decoders before it.  The
     lowest full-row-rank w x q matrix has row r = e_(w-1-r): its last,
     most significant row is the smallest nonzero row e_0, and each row
-    above it the smallest row independent of those below; when a message
-    is longer than q, the bound holds vacuously (see :func:`_undecodable`).
+    above it the smallest row independent of those below.  It sees each
+    D_k alone: :func:`_undecodable` decides messages that overfill q.
     The sum stops as soon as it passes ``cap``, so a later session is not
     looked at: either answer leaves nothing to scan.
     """
@@ -433,7 +442,7 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     trials still draws 256 of them, or all of them when it has fewer.
     Raises ``ValueError`` for fewer than one trial, or before drawing
     anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``;
-    past those checks, a session no code decodes leaves nothing to draw.
+    past those checks, a network that :func:`_undecodable` rules out draws nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -21,7 +21,6 @@ from ldnc.network import Edge, LayeredNetwork, Network, Session, detect_layers, 
 from ldnc.search import (
     SearchResult,
     _CHUNK,
-    _candidate_digits,
     _code_from_entries,
     _solved,
     _stacks,
@@ -181,6 +180,38 @@ def unreachable_destination(p, q):
         [(1, "a", "c", 1), (2, "a", "d", 1)],
     )
     return detect_layers(n)
+
+
+def shared_endpoint_family():
+    """Small instances whose two or three sessions share one source or one
+    destination, over GF(2) and GF(3), q in {1, 2}, one and two hops.
+
+    The messages at the shared node overfill its q symbols, fill them
+    exactly or sit beside a width-0 session; no single message is longer
+    than q.  The shared-source networks have identity gains, so those
+    that fit have solving codes; the shared-destination ones have random
+    gains from a fixed seed.  Every code space is at most 2**20.
+    """
+    rng = random.Random(2026)
+    out = []
+    for p, q, hops in ((2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 2), (3, 2, 2)):
+        fm = FieldModulus(p)
+        for widths in ((1, 1), (1, 0), (1, 0, 1), (1, 1, 1), (2, 1)):
+            if hops * max(widths) > q:
+                continue
+            ends = [f"t{i}" for i in range(len(widths))]
+            path = [("hub", "r"), *(("r", t) for t in ends)] if hops == 2 else [
+                ("hub", t) for t in ends]
+            mid = ["r"] if hops == 2 else []
+            for reverse in (False, True):
+                edges = [(b, a, random_matrix(fm, q, q, rng)) for a, b in path] if reverse else [
+                    (a, b, identity(fm, q)) for a, b in path]
+                sessions = [(i + 1, t, "hub", w) if reverse else (i + 1, "hub", t, w)
+                            for i, (t, w) in enumerate(zip(ends, widths))]
+                ln = detect_layers(network(p, q, ["hub", *mid, *ends], edges, sessions))
+                if p ** ln._code_layout[2] <= 1 << 20:
+                    out.append(ln)
+    return out
 
 
 def layout_edge_cases(p, q):
@@ -570,10 +601,40 @@ def path_sum_transfer(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
     return TransferMap(sessions=sessions, grid=tuple(grid))
 
 
+def candidate_digits_reference(start: int, count: int, total_entries: int, p: int) -> np.ndarray:
+    """Base-p digits of candidates start .. start+count-1, one row per entry
+    and one row pass each, up to the largest index's top digit.
+
+    The decoder that :func:`ldnc.search._candidate_digits` used before it
+    wrote the rows with runs of at least ``count`` as two blocks; the two
+    must agree digit for digit.
+    """
+    top = start + count - 1
+    rows, run = 0, 1
+    while rows < total_entries and run <= top:
+        rows, run = rows + 1, run * p
+    digits = np.empty((rows, count), dtype=np.int64)
+    run = 1
+    for e in range(rows):
+        offset = start % run
+        first = (start // run) % p
+        if run >= count:
+            # at most two runs: the digit rolls over once inside the chunk
+            split = min(run - offset, count)
+            digits[e, :split] = first
+            digits[e, split:] = (first + 1) % p
+        else:
+            runs = -(-(offset + count) // run)
+            values = (first + np.arange(runs, dtype=np.int64)) % p
+            digits[e] = np.repeat(values, run)[offset:offset + count]
+        run *= p
+    return digits
+
+
 def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
     """Ascending offsets from ``start`` of the solving candidates among
     start .. start+count-1, decoders included."""
-    digits = _candidate_digits(start, count, ln._code_layout[2], ln.base.field.p)
+    digits = candidate_digits_reference(start, count, ln._code_layout[2], ln.base.field.p)
     mats = _stacks(ln, digits, "CFD")
     return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
 

@@ -14,7 +14,7 @@ import ldnc
 from ldnc import corpus
 from ldnc.cli import main
 from ldnc.fileformat import parse_network
-from ldnc.network import reciprocal
+from ldnc.network import detect_layers, reciprocal
 
 runner = CliRunner()
 
@@ -306,6 +306,31 @@ def test_search_with_an_unreachable_destination_exits_1_at_once(tmp_path, monkey
     assert result.exit_code == 1
     assert result.output == "outcome budget-exceeded\nscanned 1000000\n"
     assert time.perf_counter() - start < 1.0
+
+
+def test_search_on_an_overfilled_shared_source_exits_1_at_once(tmp_path, monkeypatch):
+    # sessions 1 and 2 share source a and need 3 of its q = 2 symbols, though
+    # each fits alone: no code solves, and neither search draws or propagates
+    from ldnc import search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or propagated")
+
+    net = tmp_path / "shared.net"
+    net.write_text("p: 2\nq: 2\nnodes: a b c\nedges:\n  a -> b gain shift g=2\n"
+                   "  a -> c gain shift g=2\nsessions:\n  1: a -> b width 1\n"
+                   "  2: a -> c width 2\n")
+    ln = detect_layers(parse_network(net.read_text()))
+    monkeypatch.setattr(search, "_randrange_fill", refuse)
+    monkeypatch.setattr(search, "_arrivals", refuse)
+    runs = [(["--budget", "100000"], search.exhaustive_search(ln, budget=100000)),
+            (["--trials", "1000000", "--seed", "3"], search.random_search(ln, 1000000, seed=3))]
+    assert [(r.outcome, r.scanned) for _, r in runs] == [("exhausted", 4096), ("not-found", 10**6)]
+    for args, want in runs:
+        for fmt, sep in (("structured", " "), ("text", ": ")):
+            result = invoke("search", str(net), *args, "--format", fmt)
+            assert result.exit_code == 1
+            assert result.output == f"outcome{sep}{want.outcome}\nscanned{sep}{want.scanned}\n"
 
 
 def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):

@@ -21,6 +21,7 @@ from ldnc.search import (
 )
 
 from helpers import (
+    candidate_digits_reference,
     exhaustive_search_reference,
     identity_edge,
     layout_edge_cases,
@@ -90,6 +91,30 @@ def test_candidate_digits_spell_the_base_p_index(p):
         assert digits == expected[:len(digits)] and not any(expected[len(digits):])
         assert not digits or digits[-1]
         assert candidate_index(ln, candidate_code(ln, index)) == index
+
+
+def test_batch_digits_match_the_row_by_row_reference():
+    # the rows whose runs span the batch are written as two blocks; every
+    # digit must equal the row-by-row decoder's, at the bottom, in the
+    # middle and at the top of spaces past 2**63, and at batches that
+    # straddle a multiple of a high run
+    rng = random.Random(2026)
+    rolled = 0
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5, 7, 2**31 - 1, 2**61 - 1])
+        entries = rng.randint(0, 40)
+        space = p**entries
+        count = min(space, rng.choice([1, 2, 3, 7, 256, 1000, rng.randint(1, 5000)]))
+        run = p ** rng.randint(0, entries)
+        start = rng.choice([0, rng.randrange(space - count + 1), space - count,
+                            max(0, space - count - rng.randint(0, 3)),
+                            min(space - count, max(0, run - rng.randint(0, count)))])
+        got = search._candidate_digits(start, count, entries, p)
+        want = candidate_digits_reference(start, count, entries, p)
+        assert got.shape == want.shape and (got == want).all(), (start, count, entries, p)
+        high = next(e for e in range(entries + 1) if p**e >= count)
+        rolled += bool((got[high:, 0] != got[high:, -1]).any())
+    assert rolled > 100, rolled
 
 
 def test_candidate_index_digit_order_ignores_listing_order():

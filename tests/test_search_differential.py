@@ -3,12 +3,16 @@
 ``exhaustive_search`` scans only (encoder, relay) pairs and solves for the
 decoders; ``exhaustive_search_reference`` evaluates every candidate index
 in order.  Both must agree on outcome, index, scanned count and code for
-every budget and chunk size.  The rule that no code can solve, a message
-longer than q, is checked here against both references.
+every budget and chunk size.  The rule that no code can solve, messages
+sourced or decoded at one node that are longer than q together, or a
+destination nothing reaches, is checked here against both references,
+on each network and on its reciprocal, which swaps sources and
+destinations and so must get the same verdict.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from helpers import (
     random_layered_instance,
     random_search_reference,
     record_exact_products,
+    shared_endpoint_family,
+    shared_source,
     unreachable_destination,
 )
 
@@ -125,6 +131,47 @@ def test_decoder_solving_search_matches_full_candidate_scan():
     assert min(covered.values()) > 0, covered
 
 
+def shared_load(ln):
+    """The largest sum of message lengths sourced or decoded at one node."""
+    load = Counter()
+    for s in ln.base.sessions:
+        load[s.source] += ln.message_length(s)
+        load[s.destination] += ln.message_length(s)
+    return max(load.values())
+
+
+def test_shared_endpoint_searches_match_references():
+    # sessions that overfill a shared source or destination together are
+    # decided at once; those that fill it exactly, or sit beside a width-0
+    # session, are searched; both must give the references' answers
+    covered = Counter()
+    for ln in shared_endpoint_family():
+        for net in (ln, reciprocal_layered(ln)):
+            space = candidate_count(net)
+            decided = _undecodable(net)
+            overfilled = shared_load(net) > net.base.q
+            assert decided == (overfilled or net.base._unreachable)
+            for budget in sorted({min(space, 1 << 16), min(space, 1 << 8)}):
+                got = exhaustive_search(net, budget=budget)
+                want = exhaustive_search_reference(net, budget)
+                assert (got.outcome, got.index, got.scanned, got.code) == (
+                    want.outcome, want.index, want.scanned, want.code), (net, budget)
+                assert not (decided and want.outcome == "found"), net
+                covered["found"] += got.outcome == "found"
+                covered["overfilled, whole space"] += overfilled and budget == space
+            for seed in (0, 1):
+                got = random_search(net, trials=60, seed=seed)
+                want = random_search_reference(net, trials=60, seed=seed)
+                assert (got.outcome, got.index, got.scanned, got.code) == (
+                    want.outcome, want.index, want.scanned, want.code), (net, seed)
+                covered["random found"] += got.outcome == "found"
+            covered["exactly q, searched"] += shared_load(net) == net.base.q and not decided
+            covered["width 0"] += any(s.width == 0 for s in net.base.sessions)
+            covered[f"p{net.base.field.p} q{net.base.q} T{net.horizon}"] += 1
+            covered[f"{len(net.base.sessions)} sessions"] += 1
+    assert len(covered) == 13 and min(covered.values()) > 0, covered
+
+
 def test_hits_near_the_decoder_floor_need_no_elimination(monkeypatch):
     # the decoder indices floor .. floor + _FLOOR_TRIES - 1 are tried on
     # every pair first, so a hit among them never reaches lowest_solutions
@@ -214,30 +261,39 @@ def test_decoder_floor_is_lowest_full_rank_decoder_index(p):
 
 
 def test_floor_bound_decides_without_propagating(monkeypatch):
-    # below floor * p**m no candidate can solve, and a session wider than q
-    # can never be decoded: neither case pushes anything through the network
+    # below floor * p**m no candidate can solve, and neither a session wider
+    # than q nor sessions that overfill a shared source or destination
+    # together can be decoded: no case pushes anything through the network
     def refuse(*args, **kwargs):
         raise AssertionError("propagated")
 
     ln = width_network(2, 2, (1, 1))
     pairs_entries = ln._code_layout[2] - 2 * 2  # the decoders are two 1 x 2 matrices
     below = _decoder_floor(ln, candidate_count(ln)) * 2**pairs_entries
-    wide = width_network(3, 1, (2,))
     monkeypatch.setattr(search, "_arrivals", refuse)
     result = exhaustive_search(ln, budget=below)
     assert (result.outcome, result.scanned) == ("budget-exceeded", below)
-    result = exhaustive_search(wide, budget=candidate_count(wide))
-    assert (result.outcome, result.scanned) == ("exhausted", candidate_count(wide))
+    # shared_source(3, 1) holds two width-1 sessions and one of width 0 at
+    # one source, and its reciprocal at one destination
+    shared = shared_source(3, 1)
+    for undecodable in (width_network(3, 1, (2,)), shared, reciprocal_layered(shared)):
+        space = candidate_count(undecodable)
+        floor = _decoder_floor(undecodable, space)
+        assert floor * 3**undecodable._code_layout[1] < space  # the floor leaves a scan
+        result = exhaustive_search(undecodable, budget=space)
+        assert (result.outcome, result.scanned) == ("exhausted", space)
     with pytest.raises(AssertionError, match="propagated"):
         exhaustive_search(ln, budget=below + 1)
 
 
 def test_random_search_decides_undecodable_sessions_without_drawing(monkeypatch):
-    # a message longer than q, or a destination that no path of nonzero
-    # gains reaches, leaves no trial that can solve: every trial is decided
-    # at once, as the per-trial reference decides them one by one
+    # a message longer than q, messages that overfill a shared source or
+    # destination together, or a destination that no path of nonzero gains
+    # reaches leave no trial that can solve: every trial is decided at once,
+    # as the per-trial reference decides them one by one
     instances = [width_network(3, 1, (2,)), width_network(2, 2, (1, 3)),
-                 unreachable_destination(2, 2)]
+                 unreachable_destination(2, 2), shared_source(3, 1),
+                 reciprocal_layered(shared_source(2, 1))]
     for ln in instances:
         for seed in (0, 1):
             for trials in (1, 2, 7, 40):
@@ -259,6 +315,22 @@ def test_random_search_decides_undecodable_sessions_without_drawing(monkeypatch)
         space = candidate_count(ln)
         result = exhaustive_search(ln, budget=space)
         assert (result.outcome, result.scanned) == ("exhausted", space)
+
+
+def test_undecodable_reads_alike_on_the_reciprocal():
+    # the reciprocal swaps sources and destinations and reverses every
+    # path, so each verdict carries over; C3's family never overfills a
+    # shared node, the shared-endpoint family often does
+    grouped = Counter()
+    for name, family in (("C3", gf2_instance_family(max_entries=20)),
+                         ("shared endpoints", shared_endpoint_family())):
+        for ln in family:
+            verdict = _undecodable(ln)
+            assert verdict == _undecodable(reciprocal_layered(ln)), ln
+            alone = ln.base._unreachable or any(
+                ln.message_length(s) > ln.base.q for s in ln.base.sessions)
+            grouped[name] += verdict and not alone
+    assert grouped["C3"] == 0 and grouped["shared endpoints"] >= 10, grouped
 
 
 def test_wide_integer_kernel_finds_the_first_hit(monkeypatch):
