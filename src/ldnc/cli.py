@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Every command reads the text formats documented in
-:mod:`ldnc.fileformat` and supports ``--format text`` (human-oriented,
-default) or ``--format structured`` (line-delimited ``key value ...``
-records for harnesses).  Exit codes: 0 on success, 1 on a domain
-outcome that is a failure (network not layered, no code found,
-validation violations), 2 on malformed or mismatched input files.
+:mod:`ldnc.fileformat`.  ``validate``, ``transfer``, ``simulate``,
+``verify-reciprocity`` and ``search`` take ``--format text`` (default)
+or ``--format structured`` (line-delimited ``key value ...`` records
+for harnesses); ``reciprocal``, ``unfold`` and ``corpus`` take neither.
+Exit codes: 0 on success, 1 on a domain outcome that is a failure
+(network not layered, no code found, validation violations), 2 on
+malformed or mismatched input files.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ arrival Y_k = [Y_k1 ... Y_kn], all zero when nothing reaches it, and
 :func:`simulate` returns D_k . Y_k . W for the stacked messages W.  The
 independent :func:`transfer_matrices` walks one session at a time, so
 that it can re-verify what the kernel finds.  Both run on int64 residue
-arrays and take every product from :func:`~ldnc.gf_linalg.matmul_mod`:
-int64 when the unreduced sum fits it, Python integers otherwise, so
-every result is exact for every modulus.
+arrays and take every product from :func:`~ldnc.gf_linalg.matmul_mod`,
+which sums in int64 and reduces between chunks of products before a sum
+could pass it, so every result is exact for every modulus.
 
 Propagation is linear in the number of edges.  Summing gain/encoder
 products over every source-destination path gives the same grid; that

@@ -20,9 +20,9 @@ this package is built on:
 
 :func:`matmul_mod` is the package's one matrix product: the sum of
 ``a @ b`` over pairs of plain or stacked residue arrays, reduced mod p,
-in int64 when the unreduced sum fits it and on Python integers
-otherwise.  ``GfMatrix`` multiplication, the batched propagation kernel
-of :mod:`ldnc.coding` and the unfolding code all go through it.
+in int64 with reductions between chunks of products.  ``GfMatrix``
+multiplication, the batched propagation kernel of :mod:`ldnc.coding`
+and the unfolding code all go through it.
 
 :func:`row_reduce` brings a whole stack of matrices to reduced
 row-echelon form at once; :func:`mat_rank` and :func:`lowest_solutions`,
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -58,16 +59,7 @@ def dense_capacity(entries: int, what: str, error: type[Exception] = ValueError)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class FieldModulus:
     """A prime modulus p with its scalar inverse.
 
     Primality is checked by trial division at construction; p is capped
-    at 2**31 - 1 so that single products always fit in 64-bit integers.
+    at 2**31 - 1 so that a residue and two products of residues fit int64.
     """
 
     p: int
@@ -219,20 +211,25 @@ def matmul_mod(p: int, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The sum of ``a @ b`` over one or more pairs, reduced mod p.
 
     Operands hold residues in [0, p) and are plain matrices or stacks
-    that ``np.matmul`` broadcasts; every product must have the same shape
-    or broadcast to a common one.  Before reduction an entry is at most
-    the sum of each pair's inner length times (p-1)^2.  When that fits
-    int64 the sum runs in int64; otherwise it runs on Python integers
-    (``object`` arrays), so the int64 residues returned are exact for
-    every modulus.
+    that ``np.matmul`` broadcasts to one shape.  The sum runs in int64,
+    which holds one residue plus ``room`` products of residues (2 at
+    p = 2**31 - 1): terms are added whole while their inner lengths sum
+    to at most ``room``, a pair wider than that alone is cut into chunks
+    of ``room``, and the sum is reduced between chunks and at the end.
     """
-    inner = 0
-    for a, _ in pairs:
-        inner += a.shape[-1]
-    if inner * (p - 1) ** 2 > _INT64_MAX:
-        return _matmul_mod_exact(p, pairs)
-    acc = None
+    room = (_INT64_MAX - (p - 1)) // (p - 1) ** 2
+    acc, held = None, 0
     for a, b in pairs:
+        held += a.shape[-1]
+        if held > room:  # reduce what is held, then add this pair in chunks of room
+            if acc is not None:
+                acc -= acc // p * p
+            held = a.shape[-1]
+            while held > room:
+                term = np.matmul(a[..., :room], b[..., :room, :])
+                acc = term if acc is None else acc + term
+                acc -= acc // p * p
+                a, b, held = a[..., room:], b[..., room:, :], held - room
         term = np.matmul(a, b)
         acc = term if acc is None else acc + term
     if acc.size <= _SMALL_REDUCE:
@@ -240,12 +237,6 @@ def matmul_mod(p: int, *pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     # same residues as %, several times faster on large int64 arrays
     acc -= acc // p * p
     return acc
-
-
-def _matmul_mod_exact(p: int, pairs) -> np.ndarray:
-    """:func:`matmul_mod` on Python integers, for sums past int64."""
-    acc = sum(np.matmul(a.astype(object), b.astype(object)) for a, b in pairs)
-    return (acc % p).astype(np.int64)
 
 
 # -- factories -------------------------------------------------------------

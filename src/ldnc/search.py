@@ -41,10 +41,10 @@ then checks decoder sets in turn, the floor tries or the drawn
 decoders, D_k . Y_k = E_k destination by destination, each only on the
 candidates that passed the earlier ones.
 Every product, in the kernel and in the decoder checks, is one
-:func:`~ldnc.gf_linalg.matmul_mod` call: int64 when the unreduced sum
-fits it, Python integers otherwise, so the search is exact for every
-modulus.  Every returned code is re-verified through the ordinary
-transfer-matrix path before it is handed back.
+:func:`~ldnc.gf_linalg.matmul_mod` call, which sums in int64 and
+reduces between chunks of products before a sum could pass it, so the
+search is exact for every modulus.  Every returned code is re-verified
+through the ordinary transfer-matrix path before it is handed back.
 """
 
 from __future__ import annotations
@@ -268,11 +268,14 @@ def _decoder_floor(ln: LayeredNetwork, cap: int) -> int:
 
 def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     """Candidates per batch: at most ``limit``, and as many as
-    ``gf_linalg.dense_capacity`` fits of one candidate's int64 digits
-    (``entries``) or of its arrival and elimination arrays, whichever is
-    larger.  Raises ``ValueError`` when not even one candidate fits."""
-    widths = [ln.message_length(s) for s in ln.base.sessions]
-    per_candidate = max(entries, sum(widths) * (ln.base.q + max(widths, default=0)), 1)
+    ``gf_linalg.dense_capacity`` fits of what one candidate holds at once:
+    its ``entries`` digits and, with L the summed message length, a q x L
+    transmission and arrival at every node, a held q x L arrival per
+    session and one L x (q + width) elimination array.  Raises
+    ``ValueError`` when not even one candidate fits."""
+    n, widths = ln.base, [ln.message_length(s) for s in ln.base.sessions]
+    per_symbol = (2 * len(n.nodes) + len(n.sessions) + 1) * n.q + max(widths, default=0)
+    per_candidate = max(entries + sum(widths) * per_symbol, 1)
     return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 
@@ -440,18 +443,18 @@ def random_search(ln: LayeredNetwork, trials: int, seed: int = 0) -> SearchResul
     scan chunk size, or fewer when the batch's arrays would outgrow
     ``MAX_DENSE_BYTES``, so a search that hits within its first 256
     trials still draws 256 of them, or all of them when it has fewer.
-    Raises ``ValueError`` for fewer than one trial, or before drawing
-    anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``;
-    past those checks, a network that :func:`_undecodable` rules out draws nothing.
+    Raises ``ValueError`` for fewer than one trial and, unless
+    :func:`_undecodable` rules the network out and nothing is drawn, before
+    drawing anything when one candidate's arrays would outgrow ``MAX_DENSE_BYTES``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if _undecodable(ln):
+        return SearchResult("not-found", None, None, trials)
     total_entries = ln._code_layout[2]
     p = ln.base.field.p
     rng = random.Random(seed)
     most = _batch_size(ln, total_entries, _CHUNK)
-    if _undecodable(ln):
-        return SearchResult("not-found", None, None, trials)
     # values drawn for a batch beyond its entries start the next one
     pending = np.zeros(0, dtype=np.int64)
     for drawn, count in _batches(trials, most):

@@ -639,17 +639,18 @@ def scan_chunk(ln: LayeredNetwork, start: int, count: int) -> np.ndarray:
     return _solved(ln.base.field.p, mats["D"], _arrivals(ln, mats["C"], mats["F"], count), count)
 
 
-def record_exact_products(monkeypatch) -> list[int]:
-    """A list that gains the modulus of every product taking the exact branch."""
-    calls: list[int] = []
-    exact = gf_linalg._matmul_mod_exact
+def record_product_widths(monkeypatch) -> list[int]:
+    """A list that gains the inner length of every ``np.matmul`` call, so
+    of every chunk of products that ``gf_linalg.matmul_mod`` sums."""
+    widths: list[int] = []
+    matmul = np.matmul
 
-    def spy(p, pairs):
-        calls.append(p)
-        return exact(p, pairs)
+    def spy(a, b):
+        widths.append(a.shape[-1])
+        return matmul(a, b)
 
-    monkeypatch.setattr(gf_linalg, "_matmul_mod_exact", spy)
-    return calls
+    monkeypatch.setattr(np, "matmul", spy)
+    return widths
 
 
 def exhaustive_search_reference(ln: LayeredNetwork, budget: int) -> SearchResult:

@@ -91,6 +91,21 @@ def test_validate_reports_violations(tmp_path):
     assert result.output == "violation: gain-shape: edge 1 -> 3 gain is (3, 3), expected (2, 2)\n"
 
 
+def test_validate_structured_lists_each_violation(tmp_path):
+    bad = tmp_path / "bad.net"
+    text = corpus.read("twounicast.net").replace(
+        "1 -> 3 gain shift g=2", "1 -> 3 gain [[1,0,0],[0,1,0],[0,0,1]]", 1
+    ).replace("1: 1 -> 5", "1: 1 -> 9")
+    bad.write_text(text)
+    result = invoke("validate", str(bad), "--format", "structured")
+    assert result.exit_code == 1
+    assert result.output == (
+        "ok false\n"
+        "violation gain-shape edge 1 -> 3 gain is (3, 3), expected (2, 2)\n"
+        "violation session-endpoints session 1 endpoint '9' not declared\n"
+    )
+
+
 def test_validate_missing_session_endpoint(tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text(corpus.read("twounicast.net").replace("1: 1 -> 5", "1: 1 -> 9"))
@@ -337,7 +352,7 @@ def test_search_refuses_a_candidate_over_the_dense_limit(monkeypatch):
     from ldnc import gf_linalg
 
     # the parse needs 32 bytes for single_edge.net's 2x2 shift gain, one
-    # candidate 64: any limit from 32 to 63 lets the search refuse
+    # candidate 256 or more: any limit from 32 to 255 lets the search refuse
     monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 32)
     for extra in ([], ["--trials", "1"]):
         result = invoke("search", path("single_edge.net"), *extra)

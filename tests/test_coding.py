@@ -304,7 +304,8 @@ def test_simulate_transfer_and_path_sum_agree(seed, p):
     # multi-column messages W_l it is the sum of grid[l][k] . W_l, which a
     # transposed or permuted W would break.  Beside a random instance run
     # the layout edge cases and a network whose sessions all have width 0.
-    # At p = 2**31 - 1 sums of three or more products take the exact branch.
+    # At p = 2**31 - 1 room is 2: sums of three or more products are cut
+    # into chunks with a reduction between them.
     rng = random.Random(seed)
     fm = FieldModulus(p)
     q = rng.choice((1, 2))

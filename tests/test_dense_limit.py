@@ -52,15 +52,16 @@ GUARDS = [
         "a code of 4 entries needs", 4 * 8,
         lambda: candidate_code(identity_edge(2, 2, 1), 0), ValueError, id="candidate-code",
     ),
-    # one pair: 2 message symbols of q + 2 = 4 words of arrival and
-    # elimination each, as many as the 8 entries of the code it finds
+    # one pair: its 4 encoder digits, and for L = 2 message symbols a
+    # q x L = 2x2 transmission and arrival at both nodes, the session's
+    # held arrival and its L x (q + 2) = 2x4 elimination array
     pytest.param(
-        "one candidate needs", 2 * 4 * 8,
+        "one candidate needs", (4 + 5 * 2 * 2 + 2 * 4) * 8,
         lambda: exhaustive_search(identity_edge(2, 2, 2)), ValueError, id="exhaustive-batch",
     ),
-    # one trial: its 8 entries, as many as its arrival and elimination words
+    # one trial: its 8 digits and the same arrays
     pytest.param(
-        "one candidate needs", 8 * 8,
+        "one candidate needs", (8 + 5 * 2 * 2 + 2 * 4) * 8,
         lambda: random_search(identity_edge(2, 2, 2), trials=20), ValueError,
         id="random-batch",
     ),

@@ -21,7 +21,7 @@ from ldnc.gf_linalg import (
     zeros,
 )
 
-from helpers import record_exact_products
+from helpers import record_product_widths
 
 GF2 = FieldModulus(2)
 GF3 = FieldModulus(3)
@@ -137,6 +137,21 @@ def test_mul_large_modulus_uses_exact_arithmetic():
 # ---------------------------------------------------------------------------
 
 BIG_P = 2**31 - 1
+# the primes on either side of the last p whose room is 3
+ROOM_3_P, ROOM_2_P = 1753413037, 1753413059
+MODULI = [2, 3, 65521, ROOM_3_P, ROOM_2_P, BIG_P]
+
+
+@pytest.fixture(params=["shipped", "room-1"])
+def int64_room(request, monkeypatch):
+    """A function of p that leaves ``_INT64_MAX`` as shipped or lowers it
+    so that p has a room of 1: every term is then its own chunk."""
+
+    def set_room(p):
+        if request.param == "room-1":
+            monkeypatch.setattr(gf_linalg, "_INT64_MAX", (p - 1) + (p - 1) ** 2)
+
+    return set_room
 
 
 def loop_product(p, pairs):
@@ -158,18 +173,14 @@ def residues(rng, p, shape, worst=False):
     return np.array(picks, dtype=np.int64).reshape(shape)
 
 
-def needs_exact(p, inners):
-    return sum(inners) * (p - 1) ** 2 > 2**63 - 1
-
-
-@pytest.mark.parametrize("p", [2, 3, BIG_P])
-def test_matmul_mod_matches_python_integer_loops(p, monkeypatch):
-    # single products and multi-pair sums, on both sides of the int64
-    # bound at p = 2**31 - 1 (two inner terms fit, three do not), and on
-    # arrays past the small-array reduction
-    exact = record_exact_products(monkeypatch)
+@pytest.mark.parametrize("p", MODULI)
+def test_matmul_mod_matches_python_integer_loops(p, int64_room):
+    # single products of inner length 0 to 8 and multi-pair sums, on both
+    # sides of every chunk boundary near the modulus cap and at a room of
+    # 1, and on arrays past the small-array reduction
+    int64_room(p)
     rng = random.Random(p)
-    cases = [(1,), (2,), (3,), (8,), (1, 1), (2, 1), (4, 0, 3), (0,)]
+    cases = [(k,) for k in range(9)] + [(1, 1), (2, 1), (1, 2), (2, 2, 2), (4, 0, 3), (3, 5)]
     for inners in cases:
         for worst in (False, True):
             for rows, cols in ((1, 1), (3, 2), (20, 17)):
@@ -177,52 +188,85 @@ def test_matmul_mod_matches_python_integer_loops(p, monkeypatch):
                     (residues(rng, p, (rows, k), worst), residues(rng, p, (k, cols), worst))
                     for k in inners
                 ]
-                exact.clear()
                 got = matmul_mod(p, *pairs)
                 assert got.dtype == np.int64 and got.shape == (rows, cols)
                 assert got.tolist() == loop_product(p, pairs), (inners, worst, rows, cols)
-                assert bool(exact) == needs_exact(p, inners)
-    assert needs_exact(BIG_P, (3,)) and not needs_exact(BIG_P, (2,))
 
 
-@pytest.mark.parametrize("p", [2, 3, BIG_P])
-def test_matmul_mod_broadcasts_stacks_against_shared_operands(p):
+@pytest.mark.parametrize("p", MODULI)
+def test_matmul_mod_broadcasts_stacks_against_shared_operands(p, int64_room):
     # each pair stacks its left operand, its right one, both or neither;
-    # entry i of the result takes entry i of every stacked operand
+    # entry i of the result takes entry i of every stacked operand, also
+    # when the pairs' sum crosses a chunk boundary
+    int64_room(p)
     rng = random.Random(10 * p + 1)
     batch, rows, cols = 4, 3, 2
     layouts = list(itertools.product((False, True), repeat=2))
-    for inners in ((2,), (3,), (1, 2)):
+    for inners in ((2,), (3,), (1, 2), (3, 1)):
         for sides in itertools.product(layouts, repeat=len(inners)):
             if not any(left or right for left, right in sides):
                 continue
-            pairs = [
-                (residues(rng, p, (batch,) * left + (rows, k)),
-                 residues(rng, p, (batch,) * right + (k, cols)))
-                for k, (left, right) in zip(inners, sides)
-            ]
-            got = matmul_mod(p, *pairs)
-            assert got.shape == (batch, rows, cols)
-            for i in range(batch):
-                plain = [(a[i] if a.ndim == 3 else a, b[i] if b.ndim == 3 else b) for a, b in pairs]
-                assert got[i].tolist() == loop_product(p, plain), (inners, sides, i)
+            for worst in (False, True):
+                pairs = [
+                    (residues(rng, p, (batch,) * left + (rows, k), worst),
+                     residues(rng, p, (batch,) * right + (k, cols), worst))
+                    for k, (left, right) in zip(inners, sides)
+                ]
+                got = matmul_mod(p, *pairs)
+                assert got.shape == (batch, rows, cols)
+                for i in range(batch):
+                    plain = [(a[i] if a.ndim == 3 else a, b[i] if b.ndim == 3 else b)
+                             for a, b in pairs]
+                    assert got[i].tolist() == loop_product(p, plain), (inners, sides, i)
 
 
 def test_matmul_mod_bound_is_inclusive(monkeypatch):
-    # at p = 2 the bound is the inner length itself: 2**63 - 1 still runs
-    # in int64 and one more term does not.  Zero-row int8 operands carry
-    # those inner lengths without storing an entry.
-    taken = []
-    monkeypatch.setattr(
-        gf_linalg, "_matmul_mod_exact", lambda p, pairs: taken.append(p) or np.zeros((0, 0))
-    )
-    limit = 2**63 - 1
-    wide = (np.zeros((0, limit), dtype=np.int8), np.zeros((limit, 0), dtype=np.int8))
-    one = (np.zeros((0, 1), dtype=np.int8), np.zeros((1, 0), dtype=np.int8))
-    assert matmul_mod(2, wide).shape == (0, 0)
-    assert taken == []
-    matmul_mod(2, wide, one)
-    assert taken == [2]
+    # terms are summed whole while their inner lengths stay within room,
+    # and only a pair wider than room alone is cut, into chunks of room.
+    # Zero-row operands carry any inner length without storing an entry;
+    # int8 ones keep numpy's byte count of inner lengths near 2**63 in range
+    widths = record_product_widths(monkeypatch)
+
+    def chunks(p, *inners):
+        widths.clear()
+        small = np.int8 if p == 2 else np.int64
+        pairs = [(np.zeros((0, k), dtype=small), np.zeros((k, 0), dtype=small)) for k in inners]
+        assert matmul_mod(p, *pairs).shape == (0, 0)
+        return list(widths)
+
+    assert chunks(BIG_P, 2) == [2]
+    assert chunks(BIG_P, 3) == [2, 1]
+    assert chunks(BIG_P, 1, 1) == [1, 1]
+    assert chunks(BIG_P, 1, 2) == [1, 2]
+    assert chunks(BIG_P, 1, 5) == [1, 2, 2, 1]
+    assert chunks(ROOM_2_P, 3) == [2, 1]
+    assert chunks(ROOM_3_P, 3) == [3]
+    assert chunks(ROOM_3_P, 7) == [3, 3, 1]
+    # at p = 2 room is 2**63 - 2: one more term starts a second chunk
+    assert chunks(2, 2**63 - 2) == [2**63 - 2]
+    assert chunks(2, 2**63 - 1) == [2**63 - 2, 1]
+    assert chunks(2, 2**63 - 3, 1) == [2**63 - 3, 1]
+    assert chunks(2, 2**63 - 2, 1) == [2**63 - 2, 1]
+
+
+def test_matmul_mod_near_the_modulus_cap_stays_small():
+    # at p = 2**31 - 1 a (16384, 4, 4) @ (16384, 4, 6) product is summed in
+    # int64 chunks of two terms: its traced peak stays within a few copies
+    # of the 3 MiB result
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, BIG_P, (16384, 4, 4), dtype=np.int64)
+    b = rng.integers(0, BIG_P, (16384, 4, 6), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        got = matmul_mod(BIG_P, (a, b))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * got.nbytes == 4 * 3 * 2**20
+    i = 1234
+    assert got[i].tolist() == loop_product(BIG_P, [(a[i], b[i])])
 
 
 # ---------------------------------------------------------------------------

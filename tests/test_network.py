@@ -39,6 +39,15 @@ def test_validate_accepts_single_edge():
     assert validate(single_edge_net()).ok
 
 
+def test_validation_report_reads_ok_or_lists_its_violations():
+    assert str(validate(single_edge_net())) == "ok"
+    bad = network(2, 1, ["a", "b"], [("a", "b", identity(GF2, 2))], [(1, "a", "a", 1)])
+    assert str(validate(bad)) == (
+        "gain-shape: edge a -> b gain is (2, 2), expected (1, 1); "
+        "session-endpoints: session 1 has source == destination"
+    )
+
+
 def test_validate_flags_gain_dimension():
     bad = network(
         2, 2, ["a", "b"], [("a", "b", identity(GF2, 3))], [(1, "a", "b", 1)]
@@ -312,6 +321,16 @@ def test_cached_lookups_match_linear_scans():
         assert ln.relay_nodes() == sorted(
             v for v in n.nodes if 0 < ln.layer_map[v] < ln.horizon
         )
+
+
+def test_sessions_decoded_at_lists_a_node_s_sessions_in_id_order():
+    g = identity(GF2, 2)
+    n = network(2, 2, ["a", "b", "c"], [("a", "c", g), ("b", "c", g), ("a", "b", g)],
+                [(3, "a", "c", 1), (1, "b", "c", 1), (2, "a", "b", 1)])
+    assert [s.id for s in n.sessions_decoded_at("c")] == [1, 3]
+    assert [s.id for s in n.sessions_decoded_at("b")] == [2]
+    assert n.sessions_decoded_at("a") == ()
+    assert n.sessions_decoded_at("absent") == ()
 
 
 def test_cached_lookups_hand_out_fresh_lists():

@@ -3,6 +3,7 @@ public method and property of the exported classes, pinned."""
 
 import inspect
 from functools import cached_property
+from pathlib import Path
 
 import ldnc
 
@@ -195,3 +196,11 @@ def test_exported_class_members_are_pinned():
         if inspect.isclass(getattr(ldnc, name))
     }
     assert got == MEMBERS
+
+
+def test_readme_library_quick_start_runs():
+    # the block is exec'd as README shows it, asserts included
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -27,7 +27,7 @@ from helpers import (
     layout_edge_cases,
     random_layered_instance,
     random_search_reference,
-    record_exact_products,
+    record_product_widths,
     scan_chunk,
     single_edge_identity,
     two_unicast_network,
@@ -336,15 +336,61 @@ def test_candidate_code_refuses_a_code_over_the_dense_limit(monkeypatch):
         candidate_code(ln, 0)
 
 
+def candidate_words(ln, entries):
+    """The int64 entries one candidate of ``entries`` digits holds at once:
+    with L the summed message length, a q x L transmission and arrival at
+    every node, a held q x L arrival per session and one L x (q + width)
+    elimination array."""
+    n = ln.base
+    widths = [ln.message_length(s) for s in n.sessions]
+    arrays = 2 * len(n.nodes) + len(n.sessions)
+    return entries + sum(widths) * (arrays * n.q + n.q + max(widths, default=0))
+
+
 def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
-    # a pair of the exhaustive search takes 3 int64 words of arrivals and
-    # elimination, a trial of the random search its 4 entries
+    # one message symbol: five 2x1 arrays and a 1x3 elimination array, and
+    # a pair's 2 encoder digits or a trial's 4 digits
     ln = identity_edge(p=2, q=2, width=1)
-    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 3 - 1)
-    with pytest.raises(ValueError, match="one candidate needs 24 bytes, more than 23"):
+    assert candidate_words(ln, 0) == 5 * 2 + 3
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 15 - 1)
+    with pytest.raises(ValueError, match="one candidate needs 120 bytes, more than 119"):
         exhaustive_search(ln)
-    with pytest.raises(ValueError, match="one candidate needs 32 bytes, more than 23"):
+    with pytest.raises(ValueError, match="one candidate needs 136 bytes, more than 119"):
         random_search(ln, trials=1)
+
+
+def many_sessions(count, q=4):
+    """``count`` width-1 sessions s_k -> d_k over GF(2), each on its own
+    identity edge: a search holds arrays of sessions**2 entries a candidate."""
+    fm = FieldModulus(2)
+    nodes = [f"{end}{k}" for k in range(count) for end in "sd"]
+    edges = [(f"s{k}", f"d{k}", identity(fm, q)) for k in range(count)]
+    sessions = [(k + 1, f"s{k}", f"d{k}", 1) for k in range(count)]
+    return detect_layers(network(2, q, nodes, edges, sessions))
+
+
+def test_search_batches_stay_within_the_dense_limit(monkeypatch):
+    # a batch holds no more than MAX_DENSE_BYTES: the exhaustive search
+    # propagates and eliminates 300 pairs past the decoder floor, the
+    # random search 256 trials
+    import tracemalloc
+
+    ln = many_sessions(24)
+    limit = 1 << 21
+    assert 256 * 8 * candidate_words(ln, 0) > 4 * limit
+    pairs = 2 ** ln._code_layout[1]
+    budget = search._decoder_floor(ln, candidate_count(ln)) * pairs + 300
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", limit)
+    for run in (lambda: exhaustive_search(ln, budget=budget),
+                lambda: random_search(ln, trials=256)):
+        tracemalloc.start()
+        try:
+            result = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.code is None
+        assert peak <= limit, (result, peak)
 
 
 def eight_relays():
@@ -471,18 +517,20 @@ def test_scan_mask_equals_per_candidate_verdicts(p, q):
     assert hits > 0
 
 
-def test_object_and_int64_kernels_agree_on_a_gf3_chunk(monkeypatch):
+def test_kernel_agrees_with_a_room_of_one_on_a_gf3_chunk(monkeypatch):
+    # with room for one product between reductions, every q = 2 sum of the
+    # kernel and the decoder checks is cut into single terms
     ln = identity_edge(p=3, q=2, width=2)
     space = candidate_count(ln)
-    exact = record_exact_products(monkeypatch)
-    narrow = scan_mask(ln, 0, space, space)
-    assert not exact
-    # with no room below the bound, every product takes the exact branch
-    monkeypatch.setattr(gf_linalg, "_INT64_MAX", 0)
-    wide = scan_mask(ln, 0, space, space)
-    assert exact
-    assert narrow.any()
-    assert (wide == narrow).all()
+    widths = record_product_widths(monkeypatch)
+    whole = scan_mask(ln, 0, space, space)
+    assert max(widths) == 2
+    widths.clear()
+    monkeypatch.setattr(gf_linalg, "_INT64_MAX", 2 + 2**2)
+    cut = scan_mask(ln, 0, space, space)
+    assert max(widths) == 1
+    assert whole.any()
+    assert (cut == whole).all()
 
 
 def test_batched_hits_are_reverified(monkeypatch):
@@ -582,8 +630,8 @@ def test_random_search_draws_replay_randrange(monkeypatch, p):
 
 
 def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
-    # a dense limit of three candidates' digits cuts every batch to a few
-    # candidates: the draw order and the first hits must not depend on it
+    # a dense limit of three random-search candidates cuts every batch to
+    # a few candidates: the draw order and the first hits must not depend on it
     batches = []
     arrivals = search._arrivals
 
@@ -603,7 +651,8 @@ def test_searches_match_references_in_batches_of_a_few_candidates(monkeypatch):
             instances.append(ln)
     hits_past_first_batch = 0
     for ln in instances:
-        monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 3 * free_entry_count(ln))
+        monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES",
+                            8 * 3 * candidate_words(ln, free_entry_count(ln)))
         space = candidate_count(ln)
         batches.clear()
         got, want = exhaustive_search(ln, budget=space), exhaustive_search_reference(ln, space)
@@ -865,10 +914,10 @@ def test_each_batch_and_elimination_is_logged_at_debug(caplog, tmp_path):
 
 
 def test_exhaustive_survives_huge_moduli(monkeypatch):
-    # with q = 3 near the modulus cap, a sum of three products of residues
-    # leaves the 64-bit range, so matmul_mod takes its exact branch; the
+    # with q = 3 near the modulus cap, room is 2: matmul_mod sums each
+    # three-term product as two chunks with a reduction between them; the
     # enumeration order stays the same and the result stays exact
-    exact = record_exact_products(monkeypatch)
+    widths = record_product_widths(monkeypatch)
     big = 2**31 - 1
     ln = identity_edge(p=big, q=3, width=3)
     result = exhaustive_search(ln, budget=200)
@@ -877,8 +926,8 @@ def test_exhaustive_survives_huge_moduli(monkeypatch):
     # the identity code sits at a known index and verifies exactly
     index = sum(big**e for e in (0, 4, 8, 9, 13, 17))
     assert is_solving(ln, candidate_code(ln, index))
-    assert exact
-    # with q = 2 every sum of two products still fits int64
-    exact.clear()
+    assert max(widths) == 2
+    # with q = 2 every product is one chunk
+    widths.clear()
     assert is_solving(*single_edge_identity(p=big, q=2))
-    assert not exact
+    assert max(widths) == 2
