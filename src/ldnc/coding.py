@@ -83,7 +83,7 @@ def _check_matrices(what: str, given: Mapping, shapes: Mapping, field: FieldModu
             raise error(f"{what} {key!r} has no slot in the network")
         if mat.shape != want:
             raise error(f"{what} {key!r} has shape {mat.shape}, expected {want}")
-        if mat.field != field:
+        if mat.field is not field and mat.field != field:
             raise error(f"{what} {key!r} is over {mat.field}, expected {field}")
     if complete and len(given) < len(shapes):
         key = next(key for key in shapes if key not in given)
@@ -145,10 +145,10 @@ def _arrivals(
     arrived: dict[str, np.ndarray] = {}
     for layer in range(1, ln.horizon + 1):
         arrived = {}
-        for v in ln.nodes_at(layer):
+        for v in ln._nodes_by_layer.get(layer, ()):
             pairs = [
                 (e.gain.to_array(), transmitted[e.src])
-                for e in ln.base.in_edges(v)
+                for e in ln.base._in_edges_by_node.get(v, ())
                 if e.src in transmitted
             ]
             if pairs:
@@ -180,10 +180,10 @@ def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
         influence = {src_sess.source: code.encoders[src_sess.id].to_array()}
         for layer in range(1, ln.horizon + 1):
             sent, influence = influence, {}
-            for node in ln.nodes_at(layer):
+            for node in ln._nodes_by_layer.get(layer, ()):
                 pairs = [
                     (e.gain.to_array(), sent[e.src])
-                    for e in ln.base.in_edges(node)
+                    for e in ln.base._in_edges_by_node.get(node, ())
                     if e.src in sent
                 ]
                 if pairs:

@@ -166,7 +166,7 @@ class GfMatrix:
         return (
             self.field == other.field
             and self.shape == other.shape
-            and bool((self._a == other._a).all())
+            and not np.count_nonzero(self._a != other._a)
         )
 
     def __hash__(self) -> int:

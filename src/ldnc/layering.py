@@ -21,7 +21,9 @@ rows, numbered 0..T+1:
 :func:`lift_code` turns any time-indexed linear scheme into a layered
 code on the unfolded network with identical end-to-end behavior, and
 :func:`project_code` inverts the construction by reading the top band's
-dependence on messages and received history.
+dependence on messages and received history; its zero tests are
+``np.count_nonzero`` calls.  A node's own message block holds the
+sessions it sources in id order, as ``Network._message_layout`` sets out.
 """
 
 from __future__ import annotations
@@ -61,17 +63,15 @@ class UnlayeredLinearScheme:
 
 
 def message_block_width(n: Network, horizon: int, node: str) -> int:
-    return sum(s.width for s in n.sessions_sourced_at(node)) * horizon
+    """Rows of ``node``'s own message block over ``horizon`` instants: the
+    widths of the sessions it sources, summed, times the horizon."""
+    return n._message_layout.get(node, ({}, 0))[1] * horizon
 
 
 def _message_columns(n: Network, horizon: int, node: str) -> dict[int, slice]:
     """Columns of each session's message in ``node``'s own message block."""
-    columns = {}
-    pos = 0
-    for s in n.sessions_sourced_at(node):
-        columns[s.id] = slice(pos, pos + s.width * horizon)
-        pos += s.width * horizon
-    return columns
+    columns = n._message_layout.get(node, ({}, 0))[0]
+    return {k: slice(lo * horizon, (lo + w) * horizon) for k, (lo, w) in columns.items()}
 
 
 def validate_scheme(n: Network, scheme: UnlayeredLinearScheme) -> None:
@@ -248,6 +248,15 @@ def lift_code(n: Network, scheme: UnlayeredLinearScheme) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 
+def _after_receive(p: int, m: np.ndarray, dependence: np.ndarray, q: int) -> np.ndarray:
+    """m . [dependence | fresh]: a receive appends the fresh bottom band, the
+    last q rows, as the newest history block, which m's last q columns read."""
+    out = np.empty((m.shape[0], dependence.shape[1] + q), dtype=np.int64)
+    out[:, :-q] = matmul_mod(p, (m, dependence))
+    out[:, -q:] = m[:, -q:]
+    return out
+
+
 def project_code(code: LinearCode) -> UnlayeredLinearScheme:
     """Recover a time-indexed scheme from a layered code on an unfolded network.
 
@@ -266,53 +275,43 @@ def project_code(code: LinearCode) -> UnlayeredLinearScheme:
     n = un.original
     horizon = un.horizon
     q = n.q
-    big = q * (horizon + 2)
     fm = n.field
     top = _block(q, 0)
     bottom = _block(q, horizon + 1)
 
     for sid, enc in code.encoders.items():
-        if enc.to_array()[bottom].any():
+        if np.count_nonzero(enc.to_array()[bottom]):
             raise BlockFormError(f"encoder {sid} writes into the reserved bottom band")
     for node, relay in code.relays.items():
-        if relay.to_array()[bottom].any():
+        if np.count_nonzero(relay.to_array()[bottom]):
             raise BlockFormError(f"relay {node!r} writes into the reserved bottom band")
 
     # dependence[v]: columns are [v's own messages, y_v[0], .., y_v[m-1]]
     dependence: dict[str, np.ndarray] = {}
     for v in n.nodes:
-        arr = np.zeros((big, message_block_width(n, horizon, v)), dtype=np.int64)
+        arr = np.zeros((un.base.q, message_block_width(n, horizon, v)), dtype=np.int64)
         for sid, cols in _message_columns(n, horizon, v).items():
             arr[:, cols] = code.encoders[sid].to_array()
         dependence[v] = arr
-    # a receive appends the fresh bottom band as the newest history column block
-    fresh = np.zeros((big, q), dtype=np.int64)
-    fresh[bottom] = np.eye(q, dtype=np.int64)
 
     node_encoders: dict[tuple[str, int], GfMatrix] = {}
     for layer in range(horizon):
         for v in n.nodes:
             if layer:
                 relay = code.relays[stage_name(v, layer)].to_array()
-                dependence[v] = matmul_mod(fm.p, (relay, np.hstack([dependence[v], fresh])))
-            enc = GfMatrix(fm, dependence[v][top].copy())
-            if not enc.is_zero():
-                node_encoders[(v, layer)] = enc
+                dependence[v] = _after_receive(fm.p, relay, dependence[v], q)
+            sent = dependence[v][top]
+            if np.count_nonzero(sent):
+                node_encoders[(v, layer)] = GfMatrix(fm, sent.copy())
 
     decoders = {}
     for s in n.sessions_sorted():
         width = message_block_width(n, horizon, s.destination)
-        received = np.hstack([dependence[s.destination], fresh])
-        full = matmul_mod(fm.p, (code.decoders[s.id].to_array(), received))
-        if full[:, :width].any():
-            raise BlockFormError(
-                f"decoder {s.id} depends on messages sourced at the destination"
-            )
+        full = _after_receive(fm.p, code.decoders[s.id].to_array(), dependence[s.destination], q)
+        if np.count_nonzero(full[:, :width]):
+            raise BlockFormError(f"decoder {s.id} depends on messages sourced at the destination")
         decoders[s.id] = GfMatrix(fm, full[:, width:].copy())
-
-    return UnlayeredLinearScheme(
-        horizon=horizon, node_encoders=node_encoders, decoders=decoders
-    )
+    return UnlayeredLinearScheme(horizon=horizon, node_encoders=node_encoders, decoders=decoders)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,7 @@ def simulate_unlayered(
         for v in n.nodes:
             pairs = [
                 (e.gain.to_array(), transmitted[e.src])
-                for e in n.in_edges(v)
+                for e in n._in_edges_by_node.get(v, ())
                 if e.src in transmitted
             ]
             if pairs:

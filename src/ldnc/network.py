@@ -14,6 +14,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import InvalidNetworkError, NotLayeredError
@@ -89,6 +90,16 @@ class Network:
     @cached_property
     def _sessions_by_source(self) -> dict[str, tuple[Session, ...]]:
         return _grouped(self.sessions_sorted(), lambda s: s.source)
+
+    @cached_property
+    def _message_layout(self) -> dict[str, tuple[dict[int, tuple[int, int]], int]]:
+        """For each source node: each session's (offset, width) per instant in
+        the node's own message block, in session-id order, and the widths' sum."""
+        layout = {}
+        for v, sessions in self._sessions_by_source.items():
+            cuts = list(accumulate((s.width for s in sessions), initial=0))
+            layout[v] = ({s.id: (lo, s.width) for s, lo in zip(sessions, cuts)}, cuts[-1])
+        return layout
 
     @cached_property
     def _report(self) -> ValidationReport:

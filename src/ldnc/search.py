@@ -268,14 +268,14 @@ def _decoder_floor(ln: LayeredNetwork, cap: int) -> int:
 
 def _batch_size(ln: LayeredNetwork, entries: int, limit: int) -> int:
     """Candidates per batch: at most ``limit``, and as many as
-    ``gf_linalg.dense_capacity`` fits of what one candidate holds at once:
-    its ``entries`` digits and, with L the summed message length, a q x L
-    transmission and arrival at every node, a held q x L arrival per
-    session and one L x (q + width) elimination array.  Raises
+    ``gf_linalg.dense_capacity`` fits of what one candidate holds at once: its
+    ``entries`` digits, a held q x L arrival per session (L the summed message
+    length) and the larger of a q x L transmission and arrival at every node,
+    or its elimination's three q x L and five L x (q + width) arrays.  Raises
     ``ValueError`` when not even one candidate fits."""
     n, widths = ln.base, [ln.message_length(s) for s in ln.base.sessions]
-    per_symbol = (2 * len(n.nodes) + len(n.sessions) + 1) * n.q + max(widths, default=0)
-    per_candidate = max(entries + sum(widths) * per_symbol, 1)
+    held = max(2 * len(n.nodes) * n.q, 3 * n.q + 5 * (n.q + max(widths, default=0)))
+    per_candidate = max(entries + sum(widths) * (len(n.sessions) * n.q + held), 1)
     return min(limit, dense_capacity(per_candidate, "one candidate needs"))
 
 

@@ -361,6 +361,84 @@ def schemes_equal(net, a, b):
     return True
 
 
+def message_columns_reference(net, horizon, node):
+    """Columns of each session's message in ``node``'s own message block,
+    summed session by session from ``sessions_sourced_at``."""
+    columns, pos = {}, 0
+    for s in net.sessions_sourced_at(node):
+        columns[s.id] = slice(pos, pos + s.width * horizon)
+        pos += s.width * horizon
+    return columns
+
+
+def project_code_reference(code: LinearCode):
+    """``layering.project_code`` as an oracle: each receive hstacks the
+    fresh bottom band onto a copy's dependence before the relay or the
+    decoder applies, and each node's message block is summed session by
+    session.  Raises the same ``BlockFormError`` messages."""
+    from ldnc.errors import BlockFormError
+    from ldnc.gf_linalg import matmul_mod
+    from ldnc.layering import UnfoldedNetwork, UnlayeredLinearScheme, stage_name
+
+    un = code.network
+    if not isinstance(un, UnfoldedNetwork):
+        raise CodeBindingError("project_code needs a code bound to an unfolded network")
+    validate_code(un, code)
+    n = un.original
+    horizon = un.horizon
+    q = n.q
+    big = q * (horizon + 2)
+    fm = n.field
+    top = slice(0, q)
+    bottom = slice(q * (horizon + 1), big)
+
+    for sid, enc in code.encoders.items():
+        if enc.to_array()[bottom].any():
+            raise BlockFormError(f"encoder {sid} writes into the reserved bottom band")
+    for node, relay in code.relays.items():
+        if relay.to_array()[bottom].any():
+            raise BlockFormError(f"relay {node!r} writes into the reserved bottom band")
+
+    def own_width(v):
+        return sum(s.width for s in n.sessions_sourced_at(v)) * horizon
+
+    # dependence[v]: columns are [v's own messages, y_v[0], .., y_v[m-1]]
+    dependence = {}
+    for v in n.nodes:
+        arr = np.zeros((big, own_width(v)), dtype=np.int64)
+        for sid, cols in message_columns_reference(n, horizon, v).items():
+            arr[:, cols] = code.encoders[sid].to_array()
+        dependence[v] = arr
+    # a receive appends the fresh bottom band as the newest history column block
+    fresh = np.zeros((big, q), dtype=np.int64)
+    fresh[bottom] = np.eye(q, dtype=np.int64)
+
+    node_encoders = {}
+    for layer in range(horizon):
+        for v in n.nodes:
+            if layer:
+                relay = code.relays[stage_name(v, layer)].to_array()
+                dependence[v] = matmul_mod(fm.p, (relay, np.hstack([dependence[v], fresh])))
+            enc = GfMatrix(fm, dependence[v][top].copy())
+            if not enc.is_zero():
+                node_encoders[(v, layer)] = enc
+
+    decoders = {}
+    for s in n.sessions_sorted():
+        width = own_width(s.destination)
+        received = np.hstack([dependence[s.destination], fresh])
+        full = matmul_mod(fm.p, (code.decoders[s.id].to_array(), received))
+        if full[:, :width].any():
+            raise BlockFormError(
+                f"decoder {s.id} depends on messages sourced at the destination"
+            )
+        decoders[s.id] = GfMatrix(fm, full[:, width:].copy())
+
+    return UnlayeredLinearScheme(
+        horizon=horizon, node_encoders=node_encoders, decoders=decoders
+    )
+
+
 def triangle_network(p=2, q=1):
     """Unlayered three-node demo: the chord a -> c skips the relay layer."""
     fm = FieldModulus(p)

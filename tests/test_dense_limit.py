@@ -52,16 +52,17 @@ GUARDS = [
         "a code of 4 entries needs", 4 * 8,
         lambda: candidate_code(identity_edge(2, 2, 1), 0), ValueError, id="candidate-code",
     ),
-    # one pair: its 4 encoder digits, and for L = 2 message symbols a
-    # q x L = 2x2 transmission and arrival at both nodes, the session's
-    # held arrival and its L x (q + 2) = 2x4 elimination array
+    # one pair: its 4 encoder digits and, for L = 2 message symbols, the
+    # session's held q x L = 2x2 arrival, three more 2x2 arrays and five
+    # L x (q + 2) = 2x4 arrays of its elimination, which outweigh a
+    # transmission and arrival at both nodes
     pytest.param(
-        "one candidate needs", (4 + 5 * 2 * 2 + 2 * 4) * 8,
+        "one candidate needs", (4 + 4 * 2 * 2 + 5 * 2 * 4) * 8,
         lambda: exhaustive_search(identity_edge(2, 2, 2)), ValueError, id="exhaustive-batch",
     ),
     # one trial: its 8 digits and the same arrays
     pytest.param(
-        "one candidate needs", (8 + 5 * 2 * 2 + 2 * 4) * 8,
+        "one candidate needs", (8 + 4 * 2 * 2 + 5 * 2 * 4) * 8,
         lambda: random_search(identity_edge(2, 2, 2), trials=20), ValueError,
         id="random-batch",
     ),

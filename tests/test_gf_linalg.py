@@ -61,6 +61,37 @@ def test_inverse_exhaustive_small_fields():
 # ---------------------------------------------------------------------------
 
 
+BIG = FieldModulus(2**31 - 1)
+
+
+def equality_cases():
+    """(a, b, equal) pairs: entry, shape and field differences, empty shapes
+    and the largest modulus."""
+    a = rows(GF3, [[1, 2, 0], [0, 1, 2]])
+    big = [[2**31 - 2, 5, 0], [1, 2**31 - 3, 7]]
+    return [
+        (a, rows(GF3, [[1, 2, 0], [0, 1, 2]]), True),
+        (a, rows(GF3, [[1, 2, 0], [0, 1, 1]]), False),
+        (a, rows(GF3, [[1, 2], [0, 1]]), False),
+        (a, rows(GF3, [[1, 0], [2, 1], [0, 2]]), False),
+        (a, rows(GF5, [[1, 2, 0], [0, 1, 2]]), False),
+        (zeros(GF2, 0, 3), zeros(GF2, 0, 3), True),
+        (zeros(GF2, 0, 3), zeros(GF2, 3, 0), False),
+        (zeros(GF2, 0, 3), zeros(GF3, 0, 3), False),
+        (rows(BIG, big), rows(BIG, big), True),
+        (rows(BIG, big), rows(BIG, [[2**31 - 2, 5, 0], [1, 2**31 - 3, 6]]), False),
+    ]
+
+
+@pytest.mark.parametrize("a, b, equal", equality_cases())
+def test_equality_compares_field_shape_and_every_entry(a, b, equal):
+    assert (a == b) is equal and (b == a) is equal
+    assert (a != b) is (not equal) and (b != a) is (not equal)
+    assert (a == a) is True and (a != a) is False
+    if equal:
+        assert hash(a) == hash(b)
+
+
 def test_add_characteristic_two_cancellation():
     a = rows(GF2, [[1, 1], [0, 1]])
     b = rows(GF2, [[1, 0], [0, 1]])

@@ -16,7 +16,9 @@ from ldnc.gf_linalg import (
 )
 from ldnc.layering import (
     UnlayeredLinearScheme,
+    _message_columns,
     lift_code,
+    message_block_width,
     project_code,
     simulate_unlayered,
     unfold,
@@ -26,6 +28,8 @@ from ldnc.network import detect_layers, network, reciprocal, reciprocal_layered
 
 from helpers import (
     all_message_columns,
+    message_columns_reference,
+    project_code_reference,
     random_code,
     random_scheme,
     schemes_equal,
@@ -411,11 +415,11 @@ def test_project_round_trips_random_schemes_exactly():
 BIG = FieldModulus(2**31 - 1)
 
 
-def big_cycle(q, rng):
-    """a -> b -> c -> a with random gains over GF(2**31 - 1); a sends to c."""
-    gains = [random_matrix(BIG, q, q, rng) for _ in range(3)]
+def big_cycle(q, rng, field=BIG):
+    """a -> b -> c -> a with random gains, by default over GF(2**31 - 1); a sends to c."""
+    gains = [random_matrix(field, q, q, rng) for _ in range(3)]
     edges = [(u, v, g) for (u, v), g in zip((("a", "b"), ("b", "c"), ("c", "a")), gains)]
-    return network(BIG.p, q, ["a", "b", "c"], edges, [(1, "a", "c", 1)])
+    return network(field.p, q, ["a", "b", "c"], edges, [(1, "a", "c", 1)])
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -441,17 +445,8 @@ def test_projection_of_a_block_form_code_keeps_its_behavior_at_the_largest_modul
     horizon = 3
     un = unfold(n, horizon)
     msgs = [random_matrix(BIG, horizon, 2, rng)]
-    bottom = slice(q * (horizon + 1), None)
     for _ in range(3):
-        code = random_code(un, rng)
-        blocked = {}
-        for name, mats in (("encoders", code.encoders), ("relays", code.relays)):
-            blocked[name] = {}
-            for key, m in mats.items():
-                arr = m.to_array().copy()
-                arr[bottom] = 0
-                blocked[name][key] = GfMatrix(BIG, arr)
-        code = LinearCode(network=un, decoders=code.decoders, **blocked)
+        code = block_form(random_code(un, rng))
         assert simulate_unlayered(n, project_code(code), msgs) == simulate(un, code, msgs)
 
 
@@ -850,3 +845,119 @@ def test_an_unfolded_or_reciprocated_network_still_pickles_and_copies():
         assert reciprocal_layered(un2) == detect_layers(reciprocal(un.base))
         assert reciprocal_layered(ln2) == detect_layers(reciprocal(ln.base))
         assert reciprocal_layered(rln2) == detect_layers(reciprocal(rln.base))
+
+
+def block_form(code):
+    """``code`` with the reserved bottom band of every encoder and relay zeroed."""
+    un = code.network
+    bottom = slice(un.original.q * (un.horizon + 1), None)
+    blocked = {}
+    for name, mats in (("encoders", code.encoders), ("relays", code.relays)):
+        blocked[name] = {}
+        for key, m in mats.items():
+            arr = m.to_array().copy()
+            arr[bottom] = 0
+            blocked[name][key] = GfMatrix(m.field, arr)
+    return LinearCode(network=un, decoders=code.decoders, **blocked)
+
+
+def projection_outcome(project, code):
+    """The scheme ``project`` returns for ``code``, or its BlockFormError's text."""
+    try:
+        return project(code)
+    except BlockFormError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_projection_matches_the_hstack_reference(p):
+    # block-form random codes and lifted random schemes on three cyclic
+    # networks; the reference hstacks the fresh band at every receive
+    fm = FieldModulus(p)
+    rng = random.Random(p % 1000 + 28)
+    nets = [triangle_network(p, 2), big_cycle(2, rng, fm), sparse_cycle_net(p, 2)]
+    kinds = set()
+    for n, horizon in itertools.product(nets, range(1, 5)):
+        un = unfold(n, horizon)
+        codes = [block_form(random_code(un, rng)) for _ in range(3)]
+        codes += [lift_code(n, random_scheme(n, horizon, rng, density=0.7)) for _ in range(3)]
+        for code in codes:
+            got = projection_outcome(project_code, code)
+            assert got == projection_outcome(project_code_reference, code)
+            kinds.add(type(got))
+    # sparse_cycle_net's session 3 ends at s, which sources session 1, so
+    # random decoders there read destination messages
+    assert kinds == {UnlayeredLinearScheme, str}
+
+
+def test_projection_refuses_block_form_faults_like_the_reference():
+    n = sparse_cycle_net(3, 2)
+    horizon = 3
+    lifted = lift_code(n, random_scheme(n, horizon, random.Random(5)))
+    bottom_row = 2 * (horizon + 1)
+
+    def with_entry(mats, key, row, col):
+        arr = mats[key].to_array().copy()
+        arr[row, col] = 1
+        return {**mats, key: GfMatrix(mats[key].field, arr)}
+
+    faulty = [
+        (LinearCode(lifted.network, with_entry(lifted.encoders, 1, bottom_row, 0),
+                    lifted.decoders, lifted.relays),
+         "encoder 1 writes into the reserved bottom band"),
+        (LinearCode(lifted.network, lifted.encoders, lifted.decoders,
+                    with_entry(lifted.relays, "c@2", bottom_row + 1, 3)),
+         "relay 'c@2' writes into the reserved bottom band"),
+        # decoder 3 at s reads s's top band, which holds session 1's message
+        (LinearCode(lifted.network, lifted.encoders,
+                    with_entry(lifted.decoders, 3, 0, 0), lifted.relays),
+         "decoder 3 depends on messages sourced at the destination"),
+    ]
+    for code, text in faulty:
+        for project in (project_code, project_code_reference):
+            with pytest.raises(BlockFormError, match=f"^{text}$"):
+                project(code)
+
+
+def layout_net():
+    """Sessions listed out of id order: a sources 3 (width 2) and 1 (width 1),
+    b sources the width-0 session 2, and c and d source none."""
+    fm = FieldModulus(3)
+    g = identity(fm, 2)
+    return network(3, 2, ["a", "b", "c", "d"],
+                   [("a", "b", g), ("b", "c", g), ("c", "d", g), ("d", "a", g)],
+                   [(3, "a", "c", 2), (2, "b", "d", 0), (1, "a", "d", 1)])
+
+
+def test_message_layout_equals_the_per_session_sums():
+    n = layout_net()
+    for horizon in range(1, 5):
+        for v in n.nodes:
+            want = message_columns_reference(n, horizon, v)
+            assert _message_columns(n, horizon, v) == want
+            assert message_block_width(n, horizon, v) == sum(
+                s.width for s in n.sessions_sourced_at(v)) * horizon
+        # session 1 comes first in a's block, whatever the listing order
+        assert _message_columns(n, horizon, "a") == {
+            1: slice(0, horizon), 3: slice(horizon, 3 * horizon)}
+        assert _message_columns(n, horizon, "b") == {2: slice(0, 0)}
+        assert message_block_width(n, horizon, "b") == 0
+        assert _message_columns(n, horizon, "c") == {}
+        assert message_block_width(n, horizon, "d") == 0
+
+
+def test_reciprocal_and_unfolding_build_their_own_message_layout():
+    n = layout_net()
+    # a layout the derived networks must not read
+    n.__dict__["_message_layout"] = {v: ({}, 99) for v in n.nodes}
+    rec = reciprocal(n)
+    for horizon in range(1, 5):
+        un = unfold(n, horizon)
+        for net, names in ((rec, n.nodes), (un.base, [f"{v}@0" for v in n.nodes])):
+            for v in names:
+                assert _message_columns(net, horizon, v) == message_columns_reference(
+                    net, horizon, v)
+                assert message_block_width(net, horizon, v) == sum(
+                    s.width for s in net.sessions_sourced_at(v)) * horizon
+        assert message_block_width(rec, horizon, "c") == 2 * horizon
+        assert message_block_width(un.base, horizon, "a@0") == 3 * horizon

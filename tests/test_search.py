@@ -338,24 +338,25 @@ def test_candidate_code_refuses_a_code_over_the_dense_limit(monkeypatch):
 
 def candidate_words(ln, entries):
     """The int64 entries one candidate of ``entries`` digits holds at once:
-    with L the summed message length, a q x L transmission and arrival at
-    every node, a held q x L arrival per session and one L x (q + width)
-    elimination array."""
+    with L the summed message length, a held q x L arrival per session and
+    the larger of a q x L transmission and arrival at every node, or three
+    q x L arrays and five L x (q + width) arrays of its elimination."""
     n = ln.base
     widths = [ln.message_length(s) for s in n.sessions]
-    arrays = 2 * len(n.nodes) + len(n.sessions)
-    return entries + sum(widths) * (arrays * n.q + n.q + max(widths, default=0))
+    held = max(2 * len(n.nodes) * n.q, 3 * n.q + 5 * (n.q + max(widths, default=0)))
+    return entries + sum(widths) * (len(n.sessions) * n.q + held)
 
 
 def test_searches_refuse_a_candidate_over_the_dense_limit(monkeypatch):
-    # one message symbol: five 2x1 arrays and a 1x3 elimination array, and
-    # a pair's 2 encoder digits or a trial's 4 digits
+    # one message symbol: the session's 2x1 held arrival, three more 2x1
+    # arrays and five 1x3 arrays of its elimination, and a pair's 2 encoder
+    # digits or a trial's 4 digits
     ln = identity_edge(p=2, q=2, width=1)
-    assert candidate_words(ln, 0) == 5 * 2 + 3
-    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 15 - 1)
-    with pytest.raises(ValueError, match="one candidate needs 120 bytes, more than 119"):
+    assert candidate_words(ln, 0) == 2 + 3 * 2 + 5 * 3
+    monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", 8 * 25 - 1)
+    with pytest.raises(ValueError, match="one candidate needs 200 bytes, more than 199"):
         exhaustive_search(ln)
-    with pytest.raises(ValueError, match="one candidate needs 136 bytes, more than 119"):
+    with pytest.raises(ValueError, match="one candidate needs 216 bytes, more than 199"):
         random_search(ln, trials=1)
 
 
@@ -391,6 +392,21 @@ def test_search_batches_stay_within_the_dense_limit(monkeypatch):
             tracemalloc.stop()
         assert result.code is None
         assert peak <= limit, (result, peak)
+
+
+def test_merged_eliminations_stay_within_the_dense_limit(monkeypatch):
+    # the whole space of a two-node network whose pairs every floor try
+    # misses, so each batch is kept and eliminated with the ones before it
+    ln = identity_edge(2, 4, 4)
+    space = candidate_count(ln)
+    want = exhaustive_search(ln, budget=space)
+    assert (want.outcome, want.index) == ("found", 306713160)
+    for limit in (1 << 20, 1 << 18):
+        monkeypatch.setattr(gf_linalg, "MAX_DENSE_BYTES", limit)
+        got, peak = traced_peak(lambda: exhaustive_search(ln, budget=space))
+        assert (got.outcome, got.index, got.scanned) == (want.outcome, want.index, want.scanned)
+        assert got.code == want.code
+        assert peak <= 1.05 * limit, (limit, peak)
 
 
 def eight_relays():
