@@ -14,7 +14,8 @@ message in one shared transmission, so one pass gives destination k its
 arrival Y_k = [Y_k1 ... Y_kn], all zero when nothing reaches it, and
 :func:`simulate` returns D_k . Y_k . W for the stacked messages W.  The
 independent :func:`transfer_matrices` walks one session at a time, so
-that it can re-verify what the kernel finds.  Both run on int64 residue
+that it can re-verify what the kernel finds; both take each layer's
+receive step from ``Network._received``.  Both run on int64 residue
 arrays and take every product from :func:`~ldnc.gf_linalg.matmul_mod`,
 which sums in int64 and reduces between chunks of products before a sum
 could pass it, so every result is exact for every modulus.
@@ -131,9 +132,9 @@ def _arrivals(
     residues.  Session k's encoder fills columns lo..hi of its source's
     transmission, so one pass through the layers gives destination k the
     (count, q, sum of len_l) arrival Y_k = [Y_k1 ... Y_kn], all zero when
-    nothing reaches it.  Each node sums its gain-weighted inputs in one
-    :func:`~ldnc.gf_linalg.matmul_mod` call, and each relay applies its
-    matrix in another.
+    nothing reaches it.  Each layer's nodes sum their gain-weighted inputs
+    in one ``Network._received`` call, and each relay applies its matrix
+    in one :func:`~ldnc.gf_linalg.matmul_mod` call.
     """
     p = ln.base.field.p
     sessions = ln.base.sessions_sorted()
@@ -144,15 +145,7 @@ def _arrivals(
         transmitted[s.source][:, :, lo:hi] = encoders[s.id]
     arrived: dict[str, np.ndarray] = {}
     for layer in range(1, ln.horizon + 1):
-        arrived = {}
-        for v in ln._nodes_by_layer.get(layer, ()):
-            pairs = [
-                (e.gain.to_array(), transmitted[e.src])
-                for e in ln.base._in_edges_by_node.get(v, ())
-                if e.src in transmitted
-            ]
-            if pairs:
-                arrived[v] = matmul_mod(p, *pairs)
+        arrived = ln.base._received(ln._nodes_by_layer.get(layer, ()), transmitted)
         if layer < ln.horizon:
             transmitted = {v: matmul_mod(p, (relays[v], y)) for v, y in arrived.items()}
     nothing = np.zeros(shape, dtype=np.int64)
@@ -179,18 +172,10 @@ def transfer_matrices(ln: LayeredNetwork, code: LinearCode) -> TransferMap:
         # each final-layer node's arrival once the walk is done
         influence = {src_sess.source: code.encoders[src_sess.id].to_array()}
         for layer in range(1, ln.horizon + 1):
-            sent, influence = influence, {}
-            for node in ln._nodes_by_layer.get(layer, ()):
-                pairs = [
-                    (e.gain.to_array(), sent[e.src])
-                    for e in ln.base._in_edges_by_node.get(node, ())
-                    if e.src in sent
-                ]
-                if pairs:
-                    y = matmul_mod(p, *pairs)
-                    if layer < ln.horizon:
-                        y = matmul_mod(p, (code.relays[node].to_array(), y))
-                    influence[node] = y
+            influence = ln.base._received(ln._nodes_by_layer.get(layer, ()), influence)
+            if layer < ln.horizon:
+                influence = {v: matmul_mod(p, (code.relays[v].to_array(), y))
+                             for v, y in influence.items()}
         # a destination nothing reaches decodes a zero arrival
         nothing = np.zeros((ln.base.q, ln.message_length(src_sess)), dtype=np.int64)
         row = []

@@ -246,7 +246,7 @@ def serialize_network(n: Network) -> str:
     for e in sorted(n.edges, key=lambda e: (e.src, e.dst)):
         lines.append(f"  {e.src} -> {e.dst} gain {literals[id(e.gain)]}")
     lines.append("sessions:")
-    for s in sorted(n.sessions, key=lambda s: s.id):
+    for s in n.sessions_sorted():
         lines.append(f"  {s.id}: {s.source} -> {s.destination} width {s.width}")
     return "\n".join(lines) + "\n"
 

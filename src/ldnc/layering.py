@@ -23,7 +23,8 @@ code on the unfolded network with identical end-to-end behavior, and
 :func:`project_code` inverts the construction by reading the top band's
 dependence on messages and received history; its zero tests are
 ``np.count_nonzero`` calls.  A node's own message block holds the
-sessions it sources in id order, as ``Network._message_layout`` sets out.
+sessions it sources in id order, as ``Network._message_layout`` sets out;
+:func:`simulate_unlayered` receives through ``Network._received``.
 """
 
 from __future__ import annotations
@@ -355,15 +356,9 @@ def simulate_unlayered(
             if enc is not None:
                 seen = known[v][:widths[v] + q * instant]
                 transmitted[v] = matmul_mod(fm.p, (enc.to_array(), seen))
-        for v in n.nodes:
-            pairs = [
-                (e.gain.to_array(), transmitted[e.src])
-                for e in n._in_edges_by_node.get(v, ())
-                if e.src in transmitted
-            ]
-            if pairs:
-                start = widths[v] + q * instant
-                known[v][start:start + q] = matmul_mod(fm.p, *pairs)
+        for v, y in n._received(n.nodes, transmitted).items():
+            start = widths[v] + q * instant
+            known[v][start:start + q] = y
 
     outputs = []
     for s in sessions:

@@ -6,7 +6,8 @@ than raising, and the operations that need a valid network call
 :func:`require_valid` first.  :func:`detect_layers` upgrades a network
 to a :class:`LayeredNetwork` when a consistent layer assignment exists,
 and :func:`reciprocal` builds the reversed network with transposed
-gains and swapped session roles.
+gains and swapped session roles.  ``Network._received`` is the model's
+one receive step, y_v = sum of G_uv . x_u, for every walk of a network.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .errors import InvalidNetworkError, NotLayeredError
-from .gf_linalg import FieldModulus, GfMatrix
+from .gf_linalg import FieldModulus, GfMatrix, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,7 @@ class Network:
             self.field == other.field
             and self.q == other.q
             and set(self.nodes) == set(other.nodes)
-            and sorted(self.sessions, key=lambda s: s.id)
-            == sorted(other.sessions, key=lambda s: s.id)
+            and self.sessions_sorted() == other.sessions_sorted()
             and mine.keys() == theirs.keys()
             and all(a == b for a, b in gain_pairs.values())
         )
@@ -86,6 +86,10 @@ class Network:
     @cached_property
     def _out_edges_by_node(self) -> dict[str, tuple[Edge, ...]]:
         return _grouped(self.edges, lambda e: e.src)
+
+    @cached_property
+    def _sessions_by_id(self) -> tuple[Session, ...]:
+        return tuple(sorted(self.sessions, key=lambda s: s.id))
 
     @cached_property
     def _sessions_by_source(self) -> dict[str, tuple[Session, ...]]:
@@ -123,6 +127,19 @@ class Network:
                 return True
         return False
 
+    def _received(self, nodes: Iterable[str], sent: Mapping) -> dict:
+        """The receive step: {v: the sum of G_uv . x_u over v's in-edges whose
+        sender u is in ``sent``} for each of ``nodes``, in one
+        :func:`~ldnc.gf_linalg.matmul_mod` call per node; a node that hears no
+        sender is left out.  ``sent`` holds int64 residue arrays or stacks."""
+        p, in_edges = self.field.p, self._in_edges_by_node
+        received = {}
+        for v in nodes:
+            pairs = [(e.gain.to_array(), sent[e.src]) for e in in_edges.get(v, ()) if e.src in sent]
+            if pairs:
+                received[v] = matmul_mod(p, *pairs)
+        return received
+
     def in_edges(self, node: str) -> list[Edge]:
         return list(self._in_edges_by_node.get(node, ()))
 
@@ -130,7 +147,8 @@ class Network:
         return list(self._out_edges_by_node.get(node, ()))
 
     def sessions_sorted(self) -> tuple[Session, ...]:
-        return tuple(sorted(self.sessions, key=lambda s: s.id))
+        """The sessions in id order, one tuple built once: a network never changes."""
+        return self._sessions_by_id
 
     def session(self, session_id: int) -> Session:
         for s in self.sessions:

@@ -76,10 +76,9 @@ def verify_reciprocity(ln: LayeredNetwork, code: LinearCode) -> ReciprocityRepor
     gamma = transfer_matrices(ln, code)
     rcode = transpose_code(ln, code)
     gamma_r = transfer_matrices(rcode.network, rcode)
-    ids = [s.id for s in gamma.sessions]
-    duality = all(
-        gamma_r.entry(l, k) == gamma.entry(k, l).T for l in ids for k in ids
-    )
+    # both grids list sessions in id order, so entry (i, j) of one is entry (j, i) of the other
+    duality = all(r == g.T for row, col in zip(gamma_r.grid, zip(*gamma.grid))
+                  for r, g in zip(row, col))
     solves = gamma.is_identity_delta()
     r_solves = gamma_r.is_identity_delta()
     return ReciprocityReport(

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from ldnc.coding import LinearCode, is_solving, simulate, transfer_matrices
 from ldnc.errors import CodeBindingError
 from ldnc.gf_linalg import FieldModulus, GfMatrix, identity, zeros
-from ldnc.network import detect_layers, network
+from ldnc.network import Network, detect_layers, network
 
 from helpers import (
     all_message_tuples,
     butterfly_code,
     butterfly_network,
+    gf2_instance_family,
     layout_edge_cases,
     two_unicast_code,
     two_unicast_network,
@@ -54,6 +55,23 @@ def test_transfer_matches_displayed_path_formula_on_two_unicast():
         }
         for (l, k), want in expected.items():
             assert gamma.entry(l, k) == want
+
+
+def test_path_sum_oracle_never_runs_the_receive_step(monkeypatch):
+    # transfer_matrices and the batched kernel share Network._received, so
+    # the oracle that checks them must not
+    rng = random.Random(29)
+    cases = [(ln, random_code(ln, rng)) for ln in gf2_instance_family()[::9]]
+    grids = [transfer_matrices(ln, code).grid for ln, code in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Network._received ran")
+
+    monkeypatch.setattr(Network, "_received", refuse)
+    with pytest.raises(AssertionError, match="_received ran"):
+        transfer_matrices(*cases[0])
+    for (ln, code), grid in zip(cases, grids):
+        assert path_sum_transfer(ln, code).grid == grid
 
 
 def test_transfer_identity_single_edge():

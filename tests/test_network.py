@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,13 @@ from hypothesis import strategies as st
 from ldnc.errors import InvalidNetworkError, NotLayeredError
 from ldnc.gf_linalg import (
     FieldModulus,
+    GfMatrix,
     flip_matrix,
     identity,
     shift_matrix,
+    zeros,
 )
+from ldnc.layering import unfold
 from ldnc.network import (
     detect_layers,
     network,
@@ -19,7 +24,7 @@ from ldnc.network import (
     validate,
 )
 
-from helpers import random_layered_instance, two_unicast_network
+from helpers import random_layered_instance, random_matrix, two_unicast_network
 
 GF2 = FieldModulus(2)
 
@@ -331,6 +336,80 @@ def test_sessions_decoded_at_lists_a_node_s_sessions_in_id_order():
     assert [s.id for s in n.sessions_decoded_at("b")] == [2]
     assert n.sessions_decoded_at("a") == ()
     assert n.sessions_decoded_at("absent") == ()
+
+
+def test_sessions_sorted_is_one_tuple_in_id_order():
+    g = identity(GF2, 1)
+    nodes, edges = ["a", "b", "c"], [("a", "b", g), ("b", "c", g)]
+    listed = [(3, "a", "c", 1), (1, "b", "c", 2), (2, "a", "b", 1)]
+    n = network(2, 1, nodes, edges, listed)
+    assert n.sessions_sorted() is n.sessions_sorted()
+    assert [s.id for s in n.sessions_sorted()] == [1, 2, 3]
+    assert [s.id for s in n.sessions] == [3, 1, 2]
+    for order in itertools.permutations(listed):
+        other = network(2, 1, nodes, edges, order)
+        assert other == n and n == other
+        assert other.sessions_sorted() == n.sessions_sorted()
+    assert n != network(2, 1, nodes, edges, listed[:2] + [(2, "a", "b", 2)])
+    # an order the derived networks must not read
+    n.__dict__["_sessions_by_id"] = ()
+    rec, un = reciprocal(n), unfold(n, 2)
+    assert [(s.id, s.source, s.destination) for s in rec.sessions_sorted()] == [
+        (1, "c", "b"), (2, "b", "a"), (3, "c", "a")]
+    assert [(s.id, s.source, s.destination) for s in un.base.sessions_sorted()] == [
+        (1, "b@0", "c@2"), (2, "a@0", "b@2"), (3, "a@0", "c@2")]
+    for derived in (rec, un.base):
+        assert derived.sessions_sorted() is derived.sessions_sorted()
+
+
+def received_reference(n, nodes, sent):
+    """Each node's sum of G_uv . x_u as GfMatrix products, edge by edge,
+    over its senders in ``sent``; a node no sender reaches is left out."""
+    out = {}
+    for v in nodes:
+        total = None
+        for e in n.edges:
+            if e.dst == v and e.src in sent:
+                term = e.gain @ GfMatrix(n.field, sent[e.src])
+                total = term if total is None else total + term
+        if total is not None:
+            out[v] = total.to_array()
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_received_sums_each_node_s_inputs_edge_by_edge(p):
+    fm, q = FieldModulus(p), 2
+    rng = random.Random(p)
+    pairs = [("s1", "one"), ("s1", "three"), ("s2", "three"), ("s3", "three"),
+             ("s1", "partial"), ("s4", "partial"), ("s4", "deaf")]
+    edges = [(u, v, random_matrix(fm, q, q, rng)) for u, v in pairs]
+    edges.append(("s2", "zero", zeros(fm, q, q)))
+    nodes = ["s1", "s2", "s3", "s4", "lone", "one", "three", "zero", "partial", "deaf"]
+    n = network(p, q, nodes, edges, [(1, "s1", "one", 1)])
+    assert validate(n).ok
+    # all p - 1 at the largest modulus: three in-edges are more terms than
+    # matmul_mod's int64 room of 2 there
+    fill = (lambda: np.full((q, 3), p - 1, dtype=np.int64)) if p > 3 else (
+        lambda: random_matrix(fm, q, 3, rng).to_array())
+    sent = {u: fill() for u in ("s1", "s2", "s3")}
+    got = n._received(nodes, sent)
+    want = received_reference(n, nodes, sent)
+    assert list(got) == ["one", "three", "zero", "partial"] == list(want)
+    for v in want:
+        assert got[v].dtype == np.int64
+        assert np.array_equal(got[v], want[v]), v
+    assert not np.count_nonzero(got["zero"])
+    assert list(n._received(["three", "lone"], sent)) == ["three"]
+    assert n._received(nodes, {}) == {}
+    # stacks of transmissions, as the batched kernel sends them
+    stacks = {u: np.stack([fill() for _ in range(4)]) for u in ("s1", "s2", "s3")}
+    got = n._received(nodes, stacks)
+    for i in range(4):
+        want = received_reference(n, nodes, {u: x[i] for u, x in stacks.items()})
+        assert list(got) == list(want)
+        for v in want:
+            assert np.array_equal(got[v][i], want[v]), (v, i)
 
 
 def test_cached_lookups_hand_out_fresh_lists():
