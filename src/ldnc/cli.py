@@ -260,8 +260,8 @@ def cmd_corpus(name):
     else:
         try:
             _echo(corpus_pkg.location(name))
-        except KeyError as exc:
-            _echo(f"error: {exc}", err=True)
+        except KeyError as exc:  # str(KeyError) would quote the message
+            _echo(f"error: {exc.args[0]}", err=True)
             sys.exit(2)
 
 

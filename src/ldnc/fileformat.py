@@ -17,7 +17,10 @@ boundary) are removed; ``{x}`` repeats x, ``[x]`` makes it optional::
     ID       := [A-Za-z0-9_@.]+                     not a keyword
 
 Any run of Unicode whitespace may separate two symbols, and none may
-split an INT or an ID.  Each matrix or vector literal is one token whose
+split an INT or an ID.  Each matrix or vector literal is one token,
+checked by a fixed number of ``str`` calls on a copy without whitespace
+in which every ASCII digit reads 0 (``tests/helpers.py``
+``literal_reference`` keeps the regex check as an oracle), and its
 entries are read with one numpy call.  Identical matrix literals in one
 file, and equal shift gains, parse to one shared matrix: the copies of
 an unfolding's gain, which :func:`ldnc.network.reciprocal` keeps shared,
@@ -55,13 +58,12 @@ _TOKEN = re.compile(
     r"(->|[:=]|[A-Za-z0-9_@.]+|\[[^\[\]]*(?:\[[^\[\]]*\][^\[\]]*)*\])|(\S+)"
 )
 _ID = re.compile(r"[A-Za-z0-9_@.]+")
-_ROW = r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"
-_VECTOR = re.compile(_ROW)
-_MATRIX = re.compile(rf"\[{_ROW}(?:,{_ROW})*\]")
+# A literal's shape reads every ASCII digit as 0; a row of it holds only
+# 0 and ",", and ",,", "[," or ",]" marks an empty entry.
+_ZEROS = str.maketrans("123456789", "000000000")
+_ENTRY_CHARS = str.maketrans("", "", "0,")
 # Whitespace splits a digit run into two entries, which no literal allows.
 _SPLIT_ENTRY = re.compile(r"[0-9]\s+[0-9]")
-# An entry of 19 or more digits may not fit an int64.
-_LONG_ENTRY = re.compile(r"[0-9]{19}")
 _SEPARATORS = str.maketrans("[],", "   ")
 _EMPTY = re.compile(r"\[\s*\]")
 
@@ -112,16 +114,23 @@ class _Stream:
             raise ParseError(f"invalid node id {tok[:40]!r}")
         return tok
 
-    def _literal(self, grammar: re.Pattern, p: int) -> tuple[str, np.ndarray]:
-        """The next token as a whitespace-free literal and its entries mod p."""
+    def _literal(self, opener: str, p: int) -> tuple[list[str], np.ndarray]:
+        """The next token's rows, each digit read as 0, and its entries mod p;
+        ``opener`` is "[[" for a matrix and "[" for a vector."""
         tok = self.next()
         flat = "".join(tok.split())
-        if not grammar.fullmatch(flat) or _SPLIT_ENTRY.search(tok):
+        shape = flat.translate(_ZEROS)
+        inner = shape[len(opener):-len(opener)]
+        rows = inner.split("],[") if opener == "[[" else [inner]
+        if (not shape.startswith(opener) or not shape.endswith(opener.replace("[", "]"))
+                or "".join(rows).translate(_ENTRY_CHARS)
+                or ",," in shape or "[," in shape or ",]" in shape
+                or (len(flat) < len(tok) and _SPLIT_ENTRY.search(tok))):
             raise ParseError(f"malformed matrix or vector {tok[:40]!r}")
         digits = flat.translate(_SEPARATORS).strip()
-        if _LONG_ENTRY.search(digits):
-            return flat, np.array([_int(d) % p for d in digits.split()], dtype=np.int64)
-        return flat, np.fromstring(digits, dtype=np.int64, sep=" ") % p
+        if "0" * 19 in shape:  # an entry of 19 or more digits may not fit an int64
+            return rows, np.array([_int(d) % p for d in digits.split()], dtype=np.int64)
+        return rows, np.fromstring(digits, dtype=np.int64, sep=" ") % p
 
     def matrix(self, field: FieldModulus, empty_cols: int | None = None) -> GfMatrix:
         """The next matrix literal; given ``empty_cols``, ``[]`` is 0 x empty_cols."""
@@ -132,8 +141,7 @@ class _Stream:
         if key in self.matrices:
             self.next()
             return self.matrices[key]
-        flat, entries = self._literal(_MATRIX, field.p)
-        rows = flat[2:-2].split("],[")
+        rows, entries = self._literal("[[", field.p)
         widths = {row.count(",") + 1 if row else 0 for row in rows}
         if len(widths) != 1:
             raise ParseError("matrix rows have unequal lengths")
@@ -142,7 +150,7 @@ class _Stream:
         return self.matrices[key]
 
     def vector(self, field: FieldModulus) -> np.ndarray:
-        return self._literal(_VECTOR, field.p)[1]
+        return self._literal("[", field.p)[1]
 
 
 # ---------------------------------------------------------------------------

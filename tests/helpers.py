@@ -986,3 +986,35 @@ def reference_parse_messages(text: str, ln: LayeredNetwork) -> list[GfMatrix]:
             raise ParseError(f"message for session {s.id} has the wrong length")
         out.append(GfMatrix(field, np.array(vec, dtype=np.int64).reshape(-1, 1)))
     return out
+
+
+_REF_ROW = r"\[(?:[0-9]+(?:,[0-9]+)*)?\]"
+_REF_VECTOR = re.compile(_REF_ROW)
+_REF_MATRIX = re.compile(rf"\[{_REF_ROW}(?:,{_REF_ROW})*\]")
+
+
+def literal_reference(token: str, matrix: bool, p: int) -> np.ndarray:
+    """``fileformat``'s check of one matrix or vector literal token in its
+    regex form, as an oracle: one grammar match on the literal with its
+    whitespace removed, a search for whitespace inside a digit run, and
+    each entry read as a Python integer.  Returns the entries mod p,
+    shaped (rows, cols) for a matrix and flat for a vector, or raises the
+    same ``ParseError`` messages."""
+    flat = "".join(token.split())
+    grammar = _REF_MATRIX if matrix else _REF_VECTOR
+    if not grammar.fullmatch(flat) or re.search(r"[0-9]\s+[0-9]", token):
+        raise ParseError(f"malformed matrix or vector {token[:40]!r}")
+    entries = []
+    for digits in re.findall(r"[0-9]+", flat):
+        try:
+            entries.append(int(digits) % p)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer of {len(digits)} digits is too long") from None
+    entries = np.array(entries, dtype=np.int64)
+    if not matrix:
+        return entries
+    rows = flat[2:-2].split("],[")
+    widths = {row.count(",") + 1 if row else 0 for row in rows}
+    if len(widths) != 1:
+        raise ParseError("matrix rows have unequal lengths")
+    return entries.reshape(len(rows), widths.pop())

@@ -427,7 +427,10 @@ def test_corpus_listing_and_location():
     where = invoke("corpus", "twounicast.net")
     assert where.exit_code == 0
     assert pathlib.Path(where.output.strip()).exists()
-    assert invoke("corpus", "nope.net").exit_code == 2
+    missing = invoke("corpus", "nope.net")
+    assert missing.exit_code == 2
+    # the output holds stdout and stderr; stdout is empty
+    assert missing.output == "error: no corpus file named 'nope.net'\n"
 
 
 def test_validate_network_with_entries_past_int64(tmp_path):

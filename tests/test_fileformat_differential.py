@@ -12,6 +12,7 @@ import pytest
 from ldnc import corpus
 from ldnc.errors import CodeBindingError, LdncError, ParseError
 from ldnc.fileformat import (
+    _Stream,
     parse_code,
     parse_messages,
     parse_network,
@@ -24,6 +25,7 @@ from ldnc.layering import unfold
 from ldnc.network import detect_layers, network
 
 from helpers import (
+    literal_reference,
     random_code,
     random_layered_instance,
     random_messages,
@@ -34,12 +36,13 @@ from helpers import (
 )
 
 # characters and snippets the edits insert: grammar symbols, digits,
-# Unicode digits and whitespace, comment starts and line boundaries
-ALPHABET = list("[],:=->#pqgTCDFW a0123456789\n\t") + ["\xa0", "\x85", "\u2028", "٣", "\xb2"]
+# Unicode digits and whitespace, comment starts, line boundaries and
+# characters outside the grammar
+ALPHABET = list("[],:=->#pqgTCDFW a0123456789\n\t|;+.x") + ["\xa0", "\x85", "\u2028", "٣", "\xb2"]
 SNIPPETS = [
     "# note\n", "#", "[[", "]]", "],[", ",", "[]", "[[]]", "->", "shift g=0", "shift g=1",
     "01", "99999999999999999999", str(2**64), "[[1 0]]", "[[1,0],]", "[[1],[0,1]]", "gain",
-    "width 1", "q: 0", "p: 5",
+    "width 1", "q: 0", "p: 5", "|", ";", "+1", "-1", "1.0", "0x1",
 ]
 # edits that often keep a text valid, so that built objects get compared
 SPACES = [" ", "\n", "\t", "\xa0", "\u2028", "\r\n", "  # c ] [ ,\n", "# c\x85"]
@@ -212,6 +215,9 @@ NET = "p: 3\nq: 2\nnodes: a b\nedges:\n  a -> b gain {gain}\nsessions:\n  1: a -
         (NET.format(gain="[[1,0],[0,1]]]"), False),
         (NET.format(gain="[[-1,0],[0,1]]"), False),
         (NET.format(gain="[[1.0,0],[0,1]]"), False),
+        (NET.format(gain="[[1|0],[0,1]]"), False),  # characters outside the grammar
+        (NET.format(gain="[[1;0],[0,1]]"), False),
+        (NET.format(gain="[[1,0]|[0,1]]"), False),
         (NET.format(gain="[[1,0],[0,1]] ,"), False),
         (NET.format(gain="[[1,0] , [0,1]]"), True),
         (NET.format(gain="[ [ 1 , 0 ] ,\n[ 0 , 1 ] ]"), True),
@@ -236,6 +242,7 @@ def test_vector_edge_cases_parse_alike():
         ("W 1: [1,0,]\nW 2: [0,1]\n", False),
         ("W 1: [[1,0]]\nW 2: [0,1]\n", False),
         ("W 1: [1,٣]\nW 2: [0,1]\n", False),
+        ("W 1: [1|0]\nW 2: [0,1]\n", False),
         (f"W 1: [{2**64},{2**64 + 1}]\nW 2: [0,1]\n", True),
     ]:
         assert agree_on_messages(text, ln) is accepted, text
@@ -258,3 +265,64 @@ def test_empty_decoder_edge_cases_parse_alike():
     text = corpus.read("twounicast.code").replace("D 1: [[1,0],[0,1]]", "D 1: []")
     assert text != corpus.read("twounicast.code")
     assert agree_on_code(text, twounicast) is False
+
+
+# pieces of the random literal tokens: grammar symbols, ASCII digits and
+# whitespace, NBSP and U+2028, Unicode digits, 19-digit runs and
+# characters outside the grammar
+LITERAL_SPACES = ["", "", "", "", " ", "\xa0", "\n ", "\u2028"]
+LITERAL_CELLS = [
+    entry + space
+    for entry in ["0", "1", "7", "42", "100000", "0" * 19 + "7", "9" * 19]
+    for space in LITERAL_SPACES
+]
+LITERAL_PIECES = (
+    list("[],[],0123456789") + [" ", "\t", "\n", "\xa0", "\u2028"] + ["٣", "\xb2", "\uff11"]
+    + ["1" * 19, "9" * 20, str(2**64)] + list("|;+-.x") + ["],[", "[]", "12", "3 4"]
+)
+
+
+def _random_literal(rng: random.Random, matrix: bool) -> str:
+    """A matrix or vector literal with random whitespace and entries of up
+    to 20 digits, edited 0 to 2 times by a random piece."""
+    rows = rng.randint(1, 3) if matrix else 1
+    cols = rng.randint(0, 3)
+    cells = rng.choices(LITERAL_CELLS, k=rows * cols)
+    spaces = rng.choices(LITERAL_SPACES, k=rows)
+    text = ",".join(
+        space + "[" + ",".join(cells[r * cols:(r + 1) * cols]) + "]"
+        for r, space in enumerate(spaces)
+    )
+    if matrix:
+        text = "[" + text + "]"
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.3:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(LITERAL_PIECES) + text[i + rng.randint(0, 1):]
+    return text
+
+
+def test_literal_check_matches_regex_reference():
+    rng = random.Random(30)
+    fields = [FieldModulus(p) for p in (2, 7, 2**31 - 1)]
+    accepted = 0
+    for _ in range(50_000):
+        built_as_matrix = rng.random() < 0.6
+        token = _random_literal(rng, built_as_matrix)
+        field = rng.choice(fields)
+        # one token in ten goes to the other reader
+        matrix = built_as_matrix != (rng.random() < 0.1)
+        ts = _Stream("")
+        ts.tokens = [token]
+        got = _outcome(lambda: ts.matrix(field).to_array() if matrix else ts.vector(field))
+        ref = _outcome(literal_reference, token, matrix, field.p)
+        assert got[0] == ref[0], (token, matrix, got, ref)
+        if got[0] == "ok":
+            assert got[1].shape == ref[1].shape and (got[1] == ref[1]).all(), token
+            accepted += 1
+        else:
+            assert (type(got[1]), str(got[1])) == (ParseError, str(ref[1])), (token, got)
+    # both outcomes must be common for the comparison to mean anything
+    assert 0.2 * 50_000 < accepted < 0.8 * 50_000, accepted
